@@ -24,35 +24,9 @@ EXIT_FLAGGED = 4
 
 
 def _load_config(args):
-    from .config import from_dict
+    from .config import parse_config
 
-    data = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config} is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be an object")
-    if getattr(args, "preset", None):
-        data["preset"] = args.preset
-    if not data:
-        raise ConfigError("provide --config and/or --preset")
-    if getattr(args, "out", None):
-        data.setdefault("outputs", {})
-        if not isinstance(data["outputs"], dict):
-            raise ConfigError("outputs must be an object")
-        data["outputs"]["directory"] = args.out
-    return from_dict(data)
-
-
-def _threads(args) -> int:
-    if getattr(args, "seedless", False):
-        return 1          # deterministic row order as well as content
-    return max(1, getattr(args, "threads", 1) or 1)
+    return parse_config(args.config, preset=args.preset, out=args.out)
 
 
 def _say(args):
@@ -117,17 +91,14 @@ def cmd_bound_states(args) -> int:
     import dataclasses
 
     from .config import config_hash
-    from .evolution import bound_states
+    from .evolution import bound_states, scatterer_window
     from .model import band_edges
-    from .sweep import BOUND_RADIUS, fmt
+    from .sweep import fmt
 
     cfg = _load_config(args)
     say = _say(args)
     gs_list = cfg.sweep.g or (cfg.model.g,)
-    lo = max(0, cfg.model.j0 - BOUND_RADIUS)
-    hi = min(cfg.model.L, cfg.model.j0 + BOUND_RADIUS + 1)
-    base = dataclasses.replace(cfg.model, L=hi - lo, j0=cfg.model.j0 - lo,
-                               boundary="open")
+    _, base = scatterer_window(cfg.model)
     rows = []
     for g in gs_list:
         t0 = time.perf_counter()
@@ -199,7 +170,7 @@ def cmd_sweep(args) -> int:
     from .sweep import sweep, sweep_path
 
     cfg = _load_config(args)
-    rows = sweep(cfg, threads=_threads(args), progress=_say(args))
+    rows = sweep(cfg, progress=_say(args))
     flagged = sum(1 for r in rows if r.flags)
     print(f"{len(rows)} rows in {sweep_path(cfg)} ({flagged} flagged)")
     _write_metadata(cfg, "sweep", {"rows": len(rows), "flagged": flagged})
@@ -331,18 +302,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "sweeps, convergence studies, and plot emission.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--preset", help="named parameter set "
                        "(desk, paper-fig3..paper-fig6, paper-fig5-inset)")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress lines")
-        p.add_argument("--seedless", action="store_true",
-                       help="fully deterministic mode (forces one thread)")
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="concurrent runs (default 1)")
 
     p = sub.add_parser("ground-state",
                        help="solve the interacting ground state")
@@ -365,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("sweep", help="grid of runs with resumable output")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("converge",

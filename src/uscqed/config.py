@@ -2,10 +2,12 @@
 
 A config bundles the model, the packet, the time stepper, optional sweep
 grids, and output destinations.  Parsing is strict: unknown keys anywhere
-are hard errors, so a typo never silently falls back to a default.  Preset
-expansion happens before user overlays, and the expanded values are what
-gets hashed, so the same physics reached via a preset or spelled out by
-hand carries the same identity.
+are hard errors, so a typo never silently falls back to a default, and
+every carrier is checked against the chain (band, launch site, overlap
+with the scatterer) before any solve can start.  Preset expansion happens
+before user overlays, and the expanded values are what gets hashed, so the
+same physics reached via a preset or spelled out by hand carries the same
+identity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .evolution import EvolutionParams
 from .model import ModelParams
-from .scattering import WavepacketSpec
+from .scattering import WavepacketSpec, check_packet
 
 
 @dataclass(frozen=True)
@@ -188,19 +190,75 @@ def from_dict(data: dict) -> RunConfig:
                        merged.get("evolution", {}))
     sweep = _build(SweepGrid, "sweep", merged.get("sweep", {}))
     outputs = _build(OutputSpec, "outputs", merged.get("outputs", {}))
-    return RunConfig(model=model, packet=packet, evolution=evolution,
-                     sweep=sweep, outputs=outputs, preset=preset)
+    config = RunConfig(model=model, packet=packet, evolution=evolution,
+                       sweep=sweep, outputs=outputs, preset=preset)
+    _check_carriers(config)
+    return config
 
 
-def parse_config(path) -> RunConfig:
-    """Read and validate a JSON config file."""
+def carriers(config: RunConfig) -> list:
+    """``(kind, value)`` carriers of a run in grid order.
+
+    ``kind`` is ``"omega"`` or ``"k_in"``; a carrier grid replaces the
+    packet's own carrier.
+    """
+    if config.sweep.omega_in:
+        return [("omega", v) for v in config.sweep.omega_in]
+    if config.sweep.k_in:
+        return [("k_in", v) for v in config.sweep.k_in]
+    if config.packet.omega is not None:
+        return [("omega", config.packet.omega)]
+    return [("k_in", config.packet.k_in)]
+
+
+def carrier_spec(packet: WavepacketSpec, kind: str,
+                 value: float) -> WavepacketSpec:
+    """``packet`` with its carrier replaced by one from `carriers`."""
+    if kind == "omega":
+        return WavepacketSpec(sigma=packet.sigma, x0=packet.x0, omega=value,
+                              direction=packet.direction)
+    return WavepacketSpec(sigma=packet.sigma, x0=packet.x0, k_in=value)
+
+
+def _check_carriers(config: RunConfig) -> None:
+    """Reject, before any solve, every carrier the chain cannot launch."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}")
+        check_packet(config.model, config.packet)
+    except ValueError as exc:
+        raise ConfigError(f"packet: {exc}") from exc
+    for kind, value in carriers(config):
+        try:
+            check_packet(config.model, carrier_spec(config.packet, kind, value))
+        except ValueError as exc:
+            raise ConfigError(f"carrier {kind}={value:g}: {exc}") from exc
+
+
+def parse_config(path=None, preset: str = None, out: str = None) -> RunConfig:
+    """Config from an optional JSON file, a preset and an output directory.
+
+    ``preset`` and ``out`` override the file's; a file or a preset is
+    required.
+    """
+    data = {}
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be an object")
+    if preset:
+        data["preset"] = preset
+    if not data:
+        raise ConfigError("provide --config and/or --preset")
+    if out:
+        data.setdefault("outputs", {})
+        if not isinstance(data["outputs"], dict):
+            raise ConfigError("outputs must be an object")
+        data["outputs"]["directory"] = out
     return from_dict(data)
 
 

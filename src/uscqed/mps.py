@@ -68,9 +68,6 @@ class MPS:
     def max_bond(self) -> int:
         return max(self.bond_dims, default=1)
 
-    def copy(self) -> "MPS":
-        return MPS(list(self.sites), self.ortho_center, self.log_norm)
-
 
 class MPO:
     """Open-chain matrix product operator."""
@@ -118,10 +115,6 @@ def product_state(local_dims: Sequence[int], occupations: Sequence[int]) -> MPS:
         a[0, n, 0] = 1.0
         sites.append(a)
     return MPS(sites, ortho_center=0, log_norm=0.0)
-
-
-def identity_mpo(local_dims: Sequence[int]) -> MPO:
-    return MPO([np.eye(d, dtype=complex).reshape(1, d, d, 1) for d in local_dims])
 
 
 def wavepacket_mpo(phi: np.ndarray, local_dims: Sequence[int],
@@ -298,20 +291,6 @@ def product_expectation(state: MPS, ops: Sequence[np.ndarray]) -> complex:
     env = np.ones((1, 1), dtype=complex)
     envn = np.ones((1, 1), dtype=complex)
     for a, op in zip(state.sites, ops):
-        env = _transfer(env, a, a, op)
-        envn = _transfer(envn, a, a)
-    return complex(env[0, 0] / envn[0, 0])
-
-
-def correlator(state: MPS, op_i: np.ndarray, site_i: int,
-               op_j: np.ndarray, site_j: int) -> complex:
-    """Normalized two-point function ``<op_i op_j>`` at distinct sites."""
-    if site_i == site_j:
-        raise ValueError("correlator sites must differ")
-    env = np.ones((1, 1), dtype=complex)
-    envn = np.ones((1, 1), dtype=complex)
-    for x, a in enumerate(state.sites):
-        op = op_i if x == site_i else op_j if x == site_j else None
         env = _transfer(env, a, a, op)
         envn = _transfer(envn, a, a)
     return complex(env[0, 0] / envn[0, 0])

@@ -98,6 +98,22 @@ def packet_profile(params: ModelParams, spec: WavepacketSpec) -> np.ndarray:
     return phi / np.linalg.norm(phi)
 
 
+def check_packet(params: ModelParams, spec: WavepacketSpec) -> np.ndarray:
+    """Profile of a packet the chain can launch; raises for one it cannot.
+
+    Rejects a carrier outside the band (`BandEdgeError`), a centre off the
+    chain (`ValueError`) and packet weight above `CLOUD_OVERLAP_LIMIT` on the
+    scatterer site (`ConfigError`).  No state is needed, so configs run the
+    same checks at parse time.
+    """
+    phi = packet_profile(params, spec)
+    cloud = abs(phi[params.j0]) ** 2
+    if cloud > CLOUD_OVERLAP_LIMIT:
+        raise ConfigError(
+            f"packet weight {cloud:.2e} on the scatterer site; move x0 away")
+    return phi
+
+
 @dataclass
 class PacketInfo:
     omega: float
@@ -113,16 +129,13 @@ def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
     """Create the packet on the ground state; returns ``(state, info)``.
 
     The creation operator is parity-odd, so the input parity is minus the
-    ground state's; that flip is asserted here.  A packet launched on top of
-    the scatterer's photon cloud is rejected, and marginal overlaps or tails
-    touching the chain ends are reported as warnings.
+    ground state's; that flip is asserted here.  Packets that
+    `check_packet` rejects are rejected here too, and marginal overlaps or
+    tails touching the chain ends are reported as warnings.
     """
-    phi = packet_profile(params, spec)
+    phi = check_packet(params, spec)
     messages = []
     cloud = abs(phi[params.j0]) ** 2
-    if cloud > CLOUD_OVERLAP_LIMIT:
-        raise ConfigError(
-            f"packet weight {cloud:.2e} on the scatterer site; move x0 away")
     if cloud > 1e-6:
         messages.append(f"packet tail {cloud:.1e} on the scatterer site")
     tails = abs(phi[0]) ** 2 + abs(phi[-1]) ** 2

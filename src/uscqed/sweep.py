@@ -1,20 +1,20 @@
 """Sweep orchestration: grids of scattering runs with resumable CSV output.
 
-One row per (g, carrier) point.  Bound states and the embedded ground state
-are solved once per coupling and shared read-only by that coupling's runs;
-each run appends its row atomically, so an interrupted sweep resumes by
-skipping every coordinate already present for the same config hash.  Run
-failures become rows with an error flag instead of aborting the sweep.
+One row per (g, carrier) point, run one after another in grid order.
+Bound states and the embedded ground state are solved once per coupling and
+shared read-only by that coupling's runs; each run appends its row
+atomically, so an interrupted sweep resumes by skipping every coordinate
+already present for the same config hash.  Run failures become rows with
+an error flag instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import io
+import itertools
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -22,16 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scattering as sc
-from .config import RunConfig, config_hash, to_dict
+from .config import RunConfig, carrier_spec, carriers, config_hash
 from .errors import ConfigError
-from .evolution import bound_states, embedded_ground_state
+from .evolution import (WINDOW_RADIUS, bound_states, embedded_ground_state,
+                        scatterer_window)
 from .model import ModelParams
-from .scattering import WavepacketSpec
-
-# Bound states live on this many sites around the scatterer; their energies
-# converge exponentially in the radius, so the gap from a reduced chain
-# serves the whole sweep.
-BOUND_RADIUS = 20
 
 # |T + R + P_ine - 1| beyond this marks a row as violating flux balance.
 BALANCE_TOLERANCE = 0.05
@@ -125,28 +120,13 @@ def sweep_path(config: RunConfig) -> str:
 
 
 def _grid(config: RunConfig):
-    """(g, carrier_kind, carrier_value) tuples in deterministic order."""
+    """(g, carrier_kind, carrier_value) tuples in grid order, g-major."""
     gs = config.sweep.g or (config.model.g,)
-    if config.sweep.omega_in:
-        carriers = [("omega", v) for v in config.sweep.omega_in]
-    elif config.sweep.k_in:
-        carriers = [("k_in", v) for v in config.sweep.k_in]
-    elif config.packet.omega is not None:
-        carriers = [("omega", config.packet.omega)]
-    else:
-        carriers = [("k_in", config.packet.k_in)]
-    return [(g, kind, val) for g in gs for kind, val in carriers]
-
-
-def _point_spec(packet: WavepacketSpec, kind: str, value: float):
-    if kind == "omega":
-        return WavepacketSpec(sigma=packet.sigma, x0=packet.x0, omega=value,
-                              direction=packet.direction)
-    return WavepacketSpec(sigma=packet.sigma, x0=packet.x0, k_in=value)
+    return [(g, kind, val) for g in gs for kind, val in carriers(config)]
 
 
 def bound_data(params: ModelParams, max_rank: int = 16,
-               cutoff: float = 1e-12, radius: int = BOUND_RADIUS,
+               cutoff: float = 1e-12, radius: int = WINDOW_RADIUS,
                tol: float = 1e-4):
     """(gap, gs, gs_energy) for one coupling; gap from a reduced chain.
 
@@ -157,10 +137,7 @@ def bound_data(params: ModelParams, max_rank: int = 16,
     bandwidth, so the default ``tol`` is loose; the slowly relaxing excited
     flows dominate the cost otherwise.
     """
-    lo = max(0, params.j0 - radius)
-    hi = min(params.L, params.j0 + radius + 1)
-    small = dataclasses.replace(params, L=hi - lo, j0=params.j0 - lo,
-                                boundary="open")
+    _, small = scatterer_window(params, radius)
     bs = bound_states(small, max_rank=max_rank, cutoff=cutoff, tol=tol)
     gap = float(bs.energies[2] - bs.energies[0])
     e_gs, gs, _ = embedded_ground_state(params, max_rank=max_rank,
@@ -215,7 +192,7 @@ def run_point(config: RunConfig, run_id: str, g: float, kind: str,
     params = dataclasses.replace(config.model, g=g)
     chash = config_hash(config)
     try:
-        spec = _point_spec(config.packet, kind, value)
+        spec = carrier_spec(config.packet, kind, value)
         result = sc.run_scattering(params, spec, evo.t_final,
                                    gs=gs, gs_energy=gs_energy,
                                    measure_nk=measure_nk,
@@ -267,27 +244,39 @@ def run_point(config: RunConfig, run_id: str, g: float, kind: str,
     except Exception as exc:  # record the failure, keep sweeping
         if strict:
             raise
-        nan = float("nan")
-        return ResultRow(
-            run_id=run_id, g=g,
-            omega_in=value if kind == "omega" else nan,
-            k_in=value if kind == "k_in" else nan,
-            T=nan, R=nan, p_elastic=nan, p_inelastic=nan, p_inelastic_t=nan,
-            p_inelastic_r=nan, omega_out=nan, omega_out_expected=nan,
-            gap=gap if gap is not None else nan, raman_threshold=nan,
-            gs_energy=gs_energy if gs_energy is not None else nan,
-            D=evo.max_rank, n_max=params.n_max, dt=evo.dt,
-            total_discarded=nan,
-            flags=f"error: {type(exc).__name__}: {exc}",
-            wall_time=time.perf_counter() - t0, config_hash=chash)
+        return _error_row(config, run_id, g, kind, value,
+                          f"error: {type(exc).__name__}: {exc}",
+                          gap=gap, gs_energy=gs_energy,
+                          wall_time=time.perf_counter() - t0)
 
 
-def sweep(config: RunConfig, threads: int = 1, progress=None) -> list:
+def _error_row(config: RunConfig, run_id: str, g: float, kind: str,
+               value: float, flags: str, gap: float = None,
+               gs_energy: float = None, wall_time: float = 0.0) -> ResultRow:
+    """Row of a point that produced no result; ``flags`` says why."""
+    nan = float("nan")
+    return ResultRow(
+        run_id=run_id, g=g,
+        omega_in=value if kind == "omega" else nan,
+        k_in=value if kind == "k_in" else nan,
+        T=nan, R=nan, p_elastic=nan, p_inelastic=nan, p_inelastic_t=nan,
+        p_inelastic_r=nan, omega_out=nan, omega_out_expected=nan,
+        gap=nan if gap is None else gap, raman_threshold=nan,
+        gs_energy=nan if gs_energy is None else gs_energy,
+        D=config.evolution.max_rank, n_max=config.model.n_max,
+        dt=config.evolution.dt, total_discarded=nan, flags=flags,
+        wall_time=wall_time, config_hash=config_hash(config))
+
+
+def sweep(config: RunConfig, progress=None) -> list:
     """Run every grid point not already present in the sweep CSV.
 
-    Returns the full table (previous rows first, then new ones).  With
-    ``threads > 1`` the runs of each coupling proceed concurrently and rows
-    land in completion order; each row's content stays deterministic.
+    Points run one after another in grid order, and each row is appended
+    as soon as its run ends, so new rows are written in grid order.
+    Returns the full table (previous rows first, then new ones).  On
+    resume every coordinate with a row under the same config hash counts
+    as done, error rows included: a failed point is not retried until its
+    row is deleted from the CSV.
     """
     say = progress or (lambda s: None)
     os.makedirs(config.outputs.directory, exist_ok=True)
@@ -312,50 +301,30 @@ def sweep(config: RunConfig, threads: int = 1, progress=None) -> list:
 
     want_sidecar = "json" in config.outputs.formats
     new_rows = []
-    by_g = {}
-    for item in todo:
-        by_g.setdefault(item[1], []).append(item)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) \
-            as pool:
-        for g, items in by_g.items():
-            say(f"g={g:g}: solving bound states and ground state")
-            params_g = dataclasses.replace(config.model, g=g)
-            try:
-                gap, gs, e_gs = bound_data(
-                    params_g, cutoff=min(config.evolution.cutoff, 1e-12))
-            except Exception as exc:
-                nan = float("nan")
-                for i, g_, kind, val in items:
-                    row = ResultRow(
-                        run_id=f"{chash[:8]}-{i:03d}", g=g_,
-                        omega_in=val if kind == "omega" else nan,
-                        k_in=val if kind == "k_in" else nan,
-                        T=nan, R=nan, p_elastic=nan, p_inelastic=nan,
-                        p_inelastic_t=nan, p_inelastic_r=nan, omega_out=nan,
-                        omega_out_expected=nan, gap=nan, raman_threshold=nan,
-                        gs_energy=nan, D=config.evolution.max_rank,
-                        n_max=params_g.n_max, dt=config.evolution.dt,
-                        total_discarded=nan,
-                        flags=f"error: bound states failed: {exc}",
-                        wall_time=0.0, config_hash=chash)
-                    _append_row(path, row)
-                    new_rows.append(row)
-                continue
-            futures = []
-            for i, g_, kind, val in items:
-                run_id = f"{chash[:8]}-{i:03d}"
+    for g, items in itertools.groupby(todo, key=lambda item: item[1]):
+        say(f"g={g:g}: solving bound states and ground state")
+        try:
+            gap, gs, e_gs = bound_data(
+                dataclasses.replace(config.model, g=g),
+                cutoff=min(config.evolution.cutoff, 1e-12))
+            failure = None
+        except Exception as exc:
+            failure = f"error: bound states failed: {exc}"
+        for i, _, kind, val in items:
+            run_id = f"{chash[:8]}-{i:03d}"
+            if failure is not None:
+                row = _error_row(config, run_id, g, kind, val, failure)
+            else:
                 side = os.path.join(config.outputs.directory,
                                     f"run_{chash}_{i:03d}.json") \
                     if want_sidecar else None
-                futures.append(pool.submit(run_point, config, run_id, g_,
-                                           kind, val, gap, gs, e_gs, side))
-            for fut in concurrent.futures.as_completed(futures):
-                row = fut.result()
-                _append_row(path, row)
-                new_rows.append(row)
-                say(f"  row {row.run_id}: omega={row.omega_in:.4g} "
-                    f"T={row.T:.4f} P_ine={row.p_inelastic:.4f} "
-                    f"[{row.flags or 'ok'}]")
+                row = run_point(config, run_id, g, kind, val, gap, gs, e_gs,
+                                side)
+            _append_row(path, row)
+            new_rows.append(row)
+            say(f"  row {row.run_id}: omega={row.omega_in:.4g} "
+                f"T={row.T:.4f} P_ine={row.p_inelastic:.4f} "
+                f"[{row.flags or 'ok'}]")
     return done_rows + new_rows
 
 
@@ -392,7 +361,9 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
     to compare with, so its ``max_dev_prev`` is NaN, as on error rows:
     a deviation never measured is not reported as zero.  The sweep grids
     in ``config`` are ignored; the base model and packet define the single
-    scattering geometry studied.
+    scattering geometry studied.  The ground state is solved once per
+    n_max and solver rank ``max(D, 12)`` and shared by the runs that use
+    it; no gap is needed, so no bound states are solved.
     """
     D_list = list(D_list)
     nmax_list = list(nmax_list)
@@ -401,6 +372,7 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
     say = progress or (lambda s: None)
     chash = config_hash(config)
     rows, spectra = [], {}
+    ground = {}                # (n_max, max_rank) -> (gs, gs_energy)
     for n_max in nmax_list:
         params = dataclasses.replace(config.model, n_max=n_max)
         prev = None
@@ -409,8 +381,13 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
             say(f"n_max={n_max} D={D}")
             evo = dataclasses.replace(config.evolution, max_rank=D)
             try:
-                _, gs, e_gs = bound_data(params, max_rank=max(D, 12),
-                                         cutoff=min(evo.cutoff, 1e-12))
+                key = (n_max, max(D, 12))
+                if key not in ground:
+                    e_gs, gs, _ = embedded_ground_state(
+                        params, max_rank=key[1],
+                        cutoff=min(evo.cutoff, 1e-12), tol=1e-4)
+                    ground[key] = (gs, float(e_gs))
+                gs, e_gs = ground[key]
                 result = sc.run_scattering(params, config.packet, evo.t_final,
                                            gs=gs, gs_energy=e_gs,
                                            **evo.run_kwargs())

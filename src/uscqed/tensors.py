@@ -1,4 +1,4 @@
-"""Dense complex tensor algebra: pairwise contraction and truncated SVD.
+"""Dense complex tensor algebra: the truncated SVD split.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 # Singular values closer than this (relatively) count as one degenerate
 # multiplet; the cutoff never splits such a group.
@@ -45,26 +45,6 @@ def _check_axes(axes, ndim: int, name: str) -> list[int]:
     if len(set(norm)) != len(norm):
         raise ValueError(f"{name}: repeated axis in {axes}")
     return norm
-
-
-def contract(a: np.ndarray, axes_a, b: np.ndarray, axes_b) -> np.ndarray:
-    """Contract ``a`` with ``b`` over the paired axis lists.
-
-    The result carries the uncontracted axes of ``a`` first, then those of
-    ``b``, each in their original order.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    axes_a = _check_axes(axes_a, a.ndim, "axes_a")
-    axes_b = _check_axes(axes_b, b.ndim, "axes_b")
-    if len(axes_a) != len(axes_b):
-        raise ValueError("axes_a and axes_b must have equal length")
-    for ax_a, ax_b in zip(axes_a, axes_b):
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise ShapeError(
-                f"cannot contract axis {ax_a} (extent {a.shape[ax_a]}) of shape "
-                f"{a.shape} with axis {ax_b} (extent {b.shape[ax_b]}) of shape {b.shape}")
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
 
 
 def _svd(m: np.ndarray):

@@ -5,41 +5,10 @@ and independently of the package internals, so it can serve as the oracle
 the MPS machinery is checked against.  Only small systems are feasible.
 """
 
-import itertools
 import math
 
 import numpy as np
 import scipy.linalg
-
-
-# ---------------------------------------------------------------------------
-# naive tensor algebra
-
-def naive_contract(a, axes_a, b, axes_b):
-    """Index-loop contraction; result axes are the free axes of a then b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    free_a = [ax for ax in range(a.ndim) if ax not in axes_a]
-    free_b = [ax for ax in range(b.ndim) if ax not in axes_b]
-    out_shape = [a.shape[ax] for ax in free_a] + [b.shape[ax] for ax in free_b]
-    out = np.zeros(out_shape, dtype=complex)
-    ranges = [range(n) for n in out_shape]
-    sum_ranges = [range(a.shape[ax]) for ax in axes_a]
-    for out_idx in itertools.product(*ranges):
-        acc = 0.0 + 0.0j
-        ia = [0] * a.ndim
-        ib = [0] * b.ndim
-        for ax, v in zip(free_a, out_idx[: len(free_a)]):
-            ia[ax] = v
-        for ax, v in zip(free_b, out_idx[len(free_a):]):
-            ib[ax] = v
-        for sum_idx in itertools.product(*sum_ranges):
-            for ax_a, ax_b, v in zip(axes_a, axes_b, sum_idx):
-                ia[ax_a] = v
-                ib[ax_b] = v
-            acc += a[tuple(ia)] * b[tuple(ib)]
-        out[out_idx] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,51 @@ def test_parse_config_reads_json_and_reports_bad_files(tmp_path):
     bad.write_text("{nope", encoding="utf-8")
     with pytest.raises(ConfigError, match="valid JSON"):
         C.parse_config(bad)
+    listed = tmp_path / "list.json"
+    listed.write_text("[]", encoding="utf-8")
+    with pytest.raises(ConfigError, match="root must be an object"):
+        C.parse_config(listed)
+    with pytest.raises(ConfigError, match="provide --config and/or --preset"):
+        C.parse_config()
+
+
+def test_parse_config_overlays_preset_and_output_directory(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"preset": "desk", "model": {"g": 0.5}}),
+                    encoding="utf-8")
+    cfg = C.parse_config(path, preset="paper-fig6", out="elsewhere")
+    assert cfg.preset == "paper-fig6" and cfg.model.L == 480
+    assert cfg.model.g == 0.5                   # the file's overlay stays
+    assert cfg.outputs.directory == "elsewhere"
+    assert C.parse_config(preset="desk").model.L == 120
+    path.write_text(json.dumps({"preset": "desk", "outputs": "here"}),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="outputs must be an object"):
+        C.parse_config(path, out="elsewhere")
+
+
+def test_carriers_are_checked_at_parse_time():
+    base = {"model": {"L": 40, "g": 0.5, "j0": 20},
+            "packet": {"omega": 1.0, "sigma": 2.0, "x0": 10.0}}
+
+    def parse(**sections):
+        data = {k: dict(v) for k, v in base.items()}
+        for key, val in sections.items():
+            data.setdefault(key, {}).update(val)
+        return C.from_dict(data)
+
+    assert C.carriers(parse(sweep={"k_in": [0.5, 1.0]})) == [
+        ("k_in", 0.5), ("k_in", 1.0)]
+    with pytest.raises(ConfigError, match="packet: carrier 2.5 lies outside"):
+        parse(packet={"omega": 2.5})
+    with pytest.raises(ConfigError, match="packet: packet center outside"):
+        parse(packet={"x0": 45.0})
+    with pytest.raises(ConfigError, match="on the scatterer site"):
+        parse(packet={"x0": 17.0})
+    with pytest.raises(ConfigError, match="carrier omega=0.2: .*outside"):
+        parse(sweep={"omega_in": [1.0, 0.2]})
+    with pytest.raises(ConfigError, match="carrier k_in=4: k_in must lie"):
+        parse(sweep={"k_in": [4.0]})
 
 
 def test_formats_are_validated():

@@ -177,7 +177,8 @@ def test_seed_in_projected_span_collapses():
     p = M.ModelParams(L=3, g=0.3, j0=1, n_max=1)
     _, gs, _ = ev.imaginary_time_ground_state(p, max_rank=8)
     with pytest.raises(SeedCollapseError):
-        ev.imaginary_time_excited(p, [gs], seed=gs.copy(), max_rank=8)
+        ev.imaginary_time_ground_state(p, max_rank=8, seed=gs,
+                                       project_out=[gs])
 
 
 def test_embedded_ground_state_agrees_with_direct():
@@ -206,7 +207,8 @@ def test_evolution_params_validation_and_kwargs():
                            cutoff=1e-12, n_snapshots=5)
     assert p.run_kwargs() == {"dt": 0.1, "order": 2, "max_rank": 8,
                               "cutoff": 1e-12, "n_snapshots": 5}
-    for bad in ({"dt": 0.0}, {"dt": 0.5, "t_final": 0.1}, {"order": 4},
-                {"max_rank": 1}, {"cutoff": -1e-3}, {"n_snapshots": 0}):
+    for bad in ({"dt": 0.0}, {"dt": 0.5, "t_final": 0.1}, {"order": 1},
+                {"order": 4}, {"max_rank": 1}, {"cutoff": -1e-3},
+                {"n_snapshots": 0}):
         with pytest.raises(ValueError):
             ev.EvolutionParams(**bad)

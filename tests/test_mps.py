@@ -121,7 +121,9 @@ class TestExpectations:
     def test_correlator_vacuum(self):
         st = m.product_state([3] * 4, [0] * 4)
         a = lowering_op(3)
-        assert m.correlator(st, a.conj().T, 0, a, 2) == pytest.approx(0.0)
+        C = m.correlator_matrix(st, [a] * 4)
+        assert C[0, 2] == pytest.approx(0.0)
+        np.testing.assert_allclose(C, 0.0, atol=1e-15)
 
     def test_correlator_w_state(self):
         # equal-weight one-photon superposition over three sites
@@ -130,8 +132,8 @@ class TestExpectations:
         vac = m.product_state([2, 2, 2], [0, 0, 0])
         w, _ = m.apply_mpo(vac, op, max_rank=4, cutoff=0.0)
         a = lowering_op(2)
-        got = m.correlator(w, a.conj().T, 0, a, 1)
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
+        C = m.correlator_matrix(w, [a] * 3)
+        assert C[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_correlator_matches_dense(self):
         rng = np.random.default_rng(25)
@@ -139,13 +141,8 @@ class TestExpectations:
         vec = mps_to_vec(st)
         a = lowering_op(3)
         want = (vec.conj() @ denseref.embed_ops([3] * 5, {1: a.conj().T, 3: a}) @ vec) / (vec.conj() @ vec)
-        got = m.correlator(st, a.conj().T, 1, a, 3)
+        got = m.correlator_matrix(st, [a] * 5)[1, 3]
         assert got == pytest.approx(want, abs=1e-10)
-
-    def test_correlator_same_site_rejected(self):
-        st = m.product_state([2, 2], [0, 0])
-        with pytest.raises(ValueError):
-            m.correlator(st, np.eye(2), 1, np.eye(2), 1)
 
     def test_correlator_matrix_matches_dense(self):
         rng = np.random.default_rng(26)
@@ -266,7 +263,8 @@ class TestApplyMpo:
     def test_identity_leaves_state_unchanged(self):
         rng = np.random.default_rng(42)
         st = random_mps(rng, 5, 3, 4)
-        out, err = m.apply_mpo(st, m.identity_mpo([3] * 5), max_rank=8, cutoff=0.0)
+        ident = m.MPO([np.eye(3, dtype=complex).reshape(1, 3, 3, 1)] * 5)
+        out, err = m.apply_mpo(st, ident, max_rank=8, cutoff=0.0)
         assert err == pytest.approx(0.0, abs=1e-12)
         assert m.overlap(out, st) == pytest.approx(1.0, abs=1e-10)
 
@@ -310,7 +308,8 @@ class TestApplyMpo:
     def test_dimension_mismatch(self):
         st = m.product_state([2, 2], [0, 0])
         with pytest.raises(ShapeError):
-            m.apply_mpo(st, m.identity_mpo([3, 3]), max_rank=4, cutoff=0.0)
+            m.apply_mpo(st, m.MPO([np.eye(3).reshape(1, 3, 3, 1)] * 2),
+                        max_rank=4, cutoff=0.0)
 
 
 class TestCompress:

@@ -1,12 +1,11 @@
-"""Contraction and truncated-SVD micro checks against naive references."""
+"""Truncated-SVD micro checks against naive references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from denseref import naive_contract
-from uscqed.errors import NumericError, ShapeError
-from uscqed.tensors import contract, svd_split, truncation_rank
+from uscqed.errors import NumericError
+from uscqed.tensors import svd_split, truncation_rank
 
 
 def rand_tensor(rng, shape):
@@ -14,66 +13,15 @@ def rand_tensor(rng, shape):
 
 
 class TestContract:
-    def test_identity_times_vector(self):
-        out = contract(np.eye(2), [1], np.array([1.0, 0.0]), [0])
-        np.testing.assert_allclose(out, [1.0, 0.0])
-
-    def test_inner_product_no_conjugation(self):
-        v = np.array([1.0 + 2.0j, 3.0, -1.0j])
-        out = contract(v, [0], v, [0])
-        assert out == pytest.approx(np.sum(v * v))
-
-    def test_matmul_matches_naive_loop(self):
-        rng = np.random.default_rng(7)
-        a = rand_tensor(rng, (3, 4))
-        b = rand_tensor(rng, (4, 5))
-        got = contract(a, [1], b, [0])
-        want = naive_contract(a, [1], b, [0])
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_multi_axis_result_order(self):
-        rng = np.random.default_rng(8)
-        a = rand_tensor(rng, (2, 3, 4))
-        b = rand_tensor(rng, (4, 3, 5))
-        got = contract(a, [1, 2], b, [1, 0])
-        want = naive_contract(a, [1, 2], b, [1, 0])
-        assert got.shape == (2, 5)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_full_contraction_equals_reordered_dot(self):
-        rng = np.random.default_rng(9)
-        a = rand_tensor(rng, (2, 3, 2))
-        b = rand_tensor(rng, (2, 2, 3))
-        got = contract(a, [0, 1, 2], b, [1, 2, 0])
-        want = np.sum(a * b.transpose(1, 2, 0))
-        assert got == pytest.approx(want)
+    """The axis-list contract that every split enforces on its caller."""
 
     def test_repeated_axis_rejected(self):
-        with pytest.raises(ValueError):
-            contract(np.eye(2), [0, 0], np.eye(2), [0, 1])
-
-    def test_extent_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            contract(np.eye(3), [1], np.eye(2), [0])
-
-    def test_axis_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            contract(np.eye(2), [0, 1], np.eye(2), [0])
+        with pytest.raises(ValueError, match="repeated axis"):
+            svd_split(np.ones((2, 2, 2)), [0, 0], max_rank=2)
 
     def test_out_of_range_axis_rejected(self):
-        with pytest.raises(ValueError):
-            contract(np.eye(2), [2], np.eye(2), [0])
-
-    @given(alpha=st.complex_numbers(max_magnitude=10, allow_nan=False,
-                                    allow_infinity=False))
-    @settings(max_examples=30, deadline=None)
-    def test_bilinearity_in_first_argument(self, alpha):
-        rng = np.random.default_rng(11)
-        a = rand_tensor(rng, (3, 4))
-        b = rand_tensor(rng, (4, 2))
-        lhs = contract(alpha * a, [1], b, [0])
-        rhs = alpha * contract(a, [1], b, [0])
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12 * (1 + abs(alpha)))
+        with pytest.raises(ValueError, match="out of range"):
+            svd_split(np.eye(2), [2], max_rank=2)
 
 
 def reconstruct(res):
