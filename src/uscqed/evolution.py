@@ -2,7 +2,20 @@
 
 Real time: `evolve` runs even/odd gate sweeps at fixed step size and keeps a
 per-step trace of discarded weight and norm, the raw material for accuracy
-monitoring.  Imaginary time: `imaginary_time_ground_state` anneals the step
+monitoring.  It works on the raw list of site tensors and builds an `MPS`
+only for an observer and for its return value.  One gate is one matrix
+kernel: the two sites are contracted by reshape and matmul into theta of
+shape ``(al, dl*dr, ar)``, the ``(dl*dr, dl*dr)`` gate matrix multiplies
+it, and `tensors.split_matrix` splits it back, the singular values going
+to the side the sweep moves to.  Between gates the orthogonality center
+moves by QR (right) or by the QR of the conjugate transpose (left).
+
+Vacuum skip: a bond whose term annihilates |00> (`TrotterGates.vacuum_bonds`;
+in rwa mode every bond, in full coupling all but the two at j0) has gates
+that leave |00> unchanged.  When both of its sites have bond dimension 1
+and each has non-vacuum weight at most `VACUUM_RTOL` (1e-24) of its vacuum
+weight, the gate is skipped; `EvolutionTrace` counts applied and skipped
+gates.  Imaginary time: `imaginary_time_ground_state` anneals the step
 size down a halving schedule, detecting stalls from the energy slope, and
 `bound_states` drives it three times with orthogonality projections to get
 the lowest states of each parity.
@@ -23,10 +36,16 @@ from .model import (ModelParams, TrotterGates, hamiltonian_mpo,
                     parity_expectation, parity_factors, trotter_gates)
 from .mps import (MPS, _qr_step, _rq_step, add, canonicalize, compress,
                   mpo_expectation, norm, normalize, overlap, product_state)
-from .tensors import svd_split
+from .tensors import split_matrix
 
 # Warn once a run has truncated away more than this much squared weight.
 TRUNCATION_BUDGET = 0.05
+
+# A bond-1 site counts as vacuum when its non-vacuum squared weight is at
+# most this fraction of its vacuum weight: amplitudes of 1e-12, twelve
+# orders below a 1e-12 weight cutoff.  Exact zeros would almost never
+# occur, since the SVDs leave tails of about 1e-13 in amplitude.
+VACUUM_RTOL = 1e-24
 
 # The photon cloud and the bound states decay exponentially away from the
 # scatterer, so they are solved on this many sites either side of j0; a
@@ -92,55 +111,69 @@ def _move_center(sites, center, target):
     return center
 
 
+def _near_vacuum(a) -> bool:
+    """True for a bond-1 site whose non-vacuum weight is at most
+    `VACUUM_RTOL` of its vacuum weight; False for any other site and for
+    non-finite entries."""
+    if a.shape[0] != 1 or a.shape[2] != 1:
+        return False
+    v = a.ravel()
+    rest = v[1:]
+    return bool(np.vdot(rest, rest).real <= VACUUM_RTOL * abs(v[0]) ** 2)
+
+
 def _apply_bond_gate(sites, x, gate, max_rank, cutoff, to_right):
-    """Gate into bond (x, x+1); center must be at x or x+1, ends up at
-    x+1 (to_right) or x (not).  Returns the discarded squared weight."""
-    th = np.tensordot(sites[x], sites[x + 1], axes=(2, 0))    # al i j ar
-    th = np.tensordot(gate, th, axes=((2, 3), (1, 2)))        # i' j' al ar
-    th = th.transpose(2, 0, 1, 3)                             # al i' j' ar
-    res = svd_split(th, (0, 1), max_rank, cutoff)
-    s = res.singular_values
+    """Gate matrix into bond (x, x+1); center must be at x or x+1, ends up
+    at x+1 (to_right) or x (not).  Returns the discarded squared weight."""
+    a, b = sites[x], sites[x + 1]
+    al, dl, k = a.shape
+    _, dr, ar = b.shape
+    th = (a.reshape(al * dl, k) @ b.reshape(k, dr * ar)).reshape(al, dl * dr, ar)
+    th = (gate @ th).reshape(al * dl, dr * ar)         # batched over al
+    u, s, vh, discarded = split_matrix(th, max_rank, cutoff)
     if to_right:
-        sites[x] = res.left_isometry
-        sites[x + 1] = res.right_isometry * s[:, None, None]
+        sites[x] = u.reshape(al, dl, -1)
+        sites[x + 1] = (s[:, None] * vh).reshape(-1, dr, ar)
     else:
-        sites[x] = res.left_isometry * s[None, None, :]
-        sites[x + 1] = res.right_isometry
-    return res.discarded_weight
+        sites[x] = (u * s).reshape(al, dl, -1)
+        sites[x + 1] = vh.reshape(-1, dr, ar)
+    return discarded
 
 
-def _sweep_stage(sites, center, stage, max_rank, cutoff):
+def _sweep_stage(sites, center, stage, vacuum_bonds, max_rank, cutoff):
     """One Trotter stage over its bond sublattice; direction picked so the
-    center travels with the gates.  Returns (center, accumulated weight)."""
+    center travels with the gates.  A gate on a `vacuum_bonds` bond whose
+    two sites are both near the vacuum (`_near_vacuum`) acts as the
+    identity and is skipped; the center then stays put.  Returns
+    ``(center, accumulated weight, gates applied, gates skipped)``."""
     active = [x for x, g in enumerate(stage.gates) if g is not None]
     if not active:
-        return center, 0.0
+        return center, 0.0, 0, 0
     lost = 1.0
-    if abs(center - active[0]) <= abs(center - active[-1]):
-        for x in active:
-            center = _move_center(sites, center, x)
-            w = _apply_bond_gate(sites, x, stage.gates[x], max_rank, cutoff,
-                                 to_right=True)
-            center = x + 1
-            lost *= 1.0 - w
-    else:
-        for x in reversed(active):
-            center = _move_center(sites, center, x + 1)
-            w = _apply_bond_gate(sites, x, stage.gates[x], max_rank, cutoff,
-                                 to_right=False)
-            center = x
-            lost *= 1.0 - w
-    return center, 1.0 - lost
+    skipped = 0
+    to_right = abs(center - active[0]) <= abs(center - active[-1])
+    for x in (active if to_right else reversed(active)):
+        if (x in vacuum_bonds and _near_vacuum(sites[x])
+                and _near_vacuum(sites[x + 1])):
+            skipped += 1
+            continue
+        center = _move_center(sites, center, x if to_right else x + 1)
+        lost *= 1.0 - _apply_bond_gate(sites, x, stage.gates[x], max_rank,
+                                       cutoff, to_right)
+        center = x + 1 if to_right else x
+    return center, 1.0 - lost, len(active) - skipped, skipped
 
 
 @dataclass
 class EvolutionTrace:
-    """Per-step diagnostics of a TEBD run."""
+    """Per-step diagnostics of a TEBD run, with the run's gate totals."""
 
     times: list = field(default_factory=list)
     norms: list = field(default_factory=list)        # including log_norm factor
     discarded: list = field(default_factory=list)    # per-step squared weight
     max_bonds: list = field(default_factory=list)
+    gates_applied: int = 0
+    gates_skipped: int = 0                           # identity on a vacuum pair
 
     @property
     def total_discarded(self) -> float:
@@ -172,19 +205,23 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
     for step in range(1, n_steps + 1):
         lost = 1.0
         for stage in gates.stages:
-            center, w = _sweep_stage(sites, center, stage, max_rank, cutoff)
+            center, w, applied, skipped = _sweep_stage(
+                sites, center, stage, gates.vacuum_bonds, max_rank, cutoff)
             lost *= 1.0 - w
+            trace.gates_applied += applied
+            trace.gates_skipped += skipped
         if gates.imaginary:
             raw = np.linalg.norm(sites[center])
             if raw == 0.0:
                 raise NumericError("state annihilated during imaginary flow")
             sites[center] = sites[center] / raw
             log_norm += math.log(raw)
-        out = MPS(sites, ortho_center=center, log_norm=log_norm)
         trace.times.append(t_offset + step * gates.dt)
-        trace.norms.append(norm(out))
+        trace.norms.append(float(np.linalg.norm(sites[center]))
+                           * math.exp(log_norm))
         trace.discarded.append(1.0 - lost)
-        trace.max_bonds.append(out.max_bond)
+        trace.max_bonds.append(max((a.shape[2] for a in sites[:-1]),
+                                   default=1))
         if not warned and trace.total_discarded > warn_budget:
             warnings.warn(
                 f"accumulated truncation weight {trace.total_discarded:.3e} "
@@ -192,8 +229,7 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
                 stacklevel=2)
             warned = True
         if observer is not None:
-            observer(step, out)
-        sites = list(out.sites)
+            observer(step, MPS(sites, ortho_center=center, log_norm=log_norm))
     return MPS(sites, ortho_center=center, log_norm=log_norm), trace
 
 

@@ -10,6 +10,13 @@ even/odd bond Trotterization.
 
 ``coupling_mode="full"`` couples g*(b + bdag)(a + adag); ``"rwa"`` keeps
 only the excitation-conserving half g*(bdag a + b adag).
+
+`trotter_gates` stores each bond gate of a `Stage` as a ``(dl*dr, dl*dr)``
+matrix acting on the fused two-site index ``i*dr + j``, the form the TEBD
+kernel multiplies into theta.  It also records which bonds have a term
+that annihilates the two-site vacuum |00> (column 0 exactly zero): all
+bonds in rwa mode, all but the two at j0 in full coupling, whose
+counter-rotating term creates pairs from the vacuum.
 """
 
 from __future__ import annotations
@@ -236,7 +243,7 @@ P3 = 0.5 + 1j * math.sqrt(3.0) / 6.0
 class Stage:
     parity: int            # 0: bonds (0,1),(2,3),... ; 1: bonds (1,2),(3,4),...
     coeff: complex         # fraction of dt exponentiated in this stage
-    gates: tuple           # per-bond gate tensors (dl, dr, dl, dr); None if inactive
+    gates: tuple           # per-bond gate matrices (dl*dr, dl*dr); None if inactive
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +253,9 @@ class TrotterGates:
     imaginary: bool
     stages: tuple = field(repr=False)
     local_dims: tuple = ()
+    # bonds whose term annihilates the two-site vacuum |00>, so that every
+    # gate on them leaves |00> unchanged
+    vacuum_bonds: frozenset = frozenset()
 
 
 def stage_coefficients(order: int):
@@ -273,9 +283,7 @@ def trotter_gates(params: ModelParams, dt: float, order: int = 3,
     def gate(x, coeff):
         key = (x, coeff) if _is_special(params, x) else (None, dims[x], coeff)
         if key not in cache:
-            u = scipy.linalg.expm(prefactor * coeff * terms[x])
-            dl, dr = dims[x], dims[x + 1]
-            cache[key] = np.ascontiguousarray(u.reshape(dl, dr, dl, dr))
+            cache[key] = scipy.linalg.expm(prefactor * coeff * terms[x])
         return cache[key]
 
     stages = []
@@ -283,8 +291,10 @@ def trotter_gates(params: ModelParams, dt: float, order: int = 3,
         gates = tuple(gate(x, coeff) if x % 2 == parity else None
                       for x in range(params.L - 1))
         stages.append(Stage(parity, coeff, gates))
+    vacuum = frozenset(x for x, h in enumerate(terms) if not np.any(h[:, 0]))
     return TrotterGates(dt=dt, order=order, imaginary=imaginary,
-                        stages=tuple(stages), local_dims=tuple(dims))
+                        stages=tuple(stages), local_dims=tuple(dims),
+                        vacuum_bonds=vacuum)
 
 
 def _is_special(params: ModelParams, x: int) -> bool:

@@ -178,15 +178,22 @@ def _qr_step(sites, i):
     l, d, r = sites[i].shape
     q, rm = np.linalg.qr(sites[i].reshape(l * d, r))
     sites[i] = q.reshape(l, d, -1)
-    sites[i + 1] = np.tensordot(rm, sites[i + 1], axes=(1, 0))
+    nl, nd, nr = sites[i + 1].shape
+    sites[i + 1] = (rm @ sites[i + 1].reshape(nl, nd * nr)).reshape(-1, nd, nr)
 
 
 def _rq_step(sites, i):
-    """Right-orthogonalize site i, absorbing the remainder into site i-1."""
+    """Right-orthogonalize site i, absorbing the remainder into site i-1.
+
+    The RQ factors come from the QR of the conjugate transpose:
+    M^H = Q R gives M = R^H Q^H with orthonormal rows in Q^H.
+    """
     l, d, r = sites[i].shape
-    rm, q = scipy.linalg.rq(sites[i].reshape(l, d * r), mode="economic")
-    sites[i] = q.reshape(-1, d, r)
-    sites[i - 1] = np.tensordot(sites[i - 1], rm, axes=(2, 0))
+    q, rm = np.linalg.qr(sites[i].reshape(l, d * r).conj().T)
+    sites[i] = q.conj().T.reshape(-1, d, r)
+    pl, pd, pr = sites[i - 1].shape
+    sites[i - 1] = (sites[i - 1].reshape(pl * pd, pr) @ rm.conj().T).reshape(
+        pl, pd, -1)
 
 
 def canonicalize(state: MPS, center: int) -> MPS:

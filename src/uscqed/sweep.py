@@ -141,7 +141,7 @@ def bound_data(params: ModelParams, max_rank: int = 16,
     bs = bound_states(small, max_rank=max_rank, cutoff=cutoff, tol=tol)
     gap = float(bs.energies[2] - bs.energies[0])
     e_gs, gs, _ = embedded_ground_state(params, max_rank=max_rank,
-                                        cutoff=cutoff, tol=tol)
+                                        cutoff=cutoff, radius=radius, tol=tol)
     return gap, gs, float(e_gs)
 
 

@@ -6,6 +6,12 @@ Conventions used throughout the package:
 * axis lists refer to positions in ``tensor.shape``,
 * SVD truncation uses a cutoff on the relative squared singular-value
   weight, never on absolute values, so it is scale invariant.
+
+`split_matrix` is the kernel every truncating sweep calls, the TEBD gate
+sweep included: the caller reshapes its tensor into a matrix itself, so the
+kernel is one finiteness check, one ``np.linalg.svd`` (gesdd, with a gesvd
+fallback) and `truncation_rank`.  `svd_split` is the general form on axis
+groups, with validated axis lists, for callers that hold a tensor.
 """
 
 from __future__ import annotations
@@ -48,11 +54,12 @@ def _check_axes(axes, ndim: int, name: str) -> list[int]:
 
 
 def _svd(m: np.ndarray):
-    # gesdd is fast but occasionally fails on ill-conditioned input; fall
-    # back to the slower, more robust gesvd.
+    # gesdd (numpy's driver, with less call overhead than scipy's wrapper) is
+    # fast but occasionally fails on ill-conditioned input; fall back to the
+    # slower, more robust gesvd.
     try:
-        return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesdd")
-    except scipy.linalg.LinAlgError:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError:
         return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
 
 

@@ -8,8 +8,8 @@ import pytest
 from denseref import DenseModel, mps_to_vec
 from uscqed import evolution as ev
 from uscqed import model as M
-from uscqed.errors import SeedCollapseError
-from uscqed.mps import norm, overlap, product_state
+from uscqed.errors import NumericError, SeedCollapseError
+from uscqed.mps import MPS, norm, overlap, product_state
 
 
 def dense_h(params):
@@ -99,6 +99,57 @@ def test_truncation_budget_warning():
     gates = M.trotter_gates(p, dt=0.1, order=2)
     with pytest.warns(UserWarning, match="truncation"):
         ev.evolve(photon_at(p, 0), gates, 30, max_rank=1, warn_budget=1e-4)
+
+
+def test_full_coupling_vacuum_matches_dense_propagator():
+    # the two bonds at j0 create pairs from the vacuum, so they must run
+    # even though every site starts in the local vacuum
+    p = M.ModelParams(L=6, g=0.8, j0=2, n_max=1)
+    state = product_state(p.local_dims(), [0] * p.L)
+    t, dt = 0.5, 0.005
+    gates = M.trotter_gates(p, dt=dt, order=3)
+    assert gates.vacuum_bonds == frozenset({0, 3, 4})
+    out, _ = ev.evolve(state, gates, round(t / dt), max_rank=16, cutoff=0.0)
+    want = dense_h(p).evolve(mps_to_vec(state), t)
+    assert np.linalg.norm(mps_to_vec(out) - want) < 5e-6
+    assert M.total_excitations(out, p) > 1e-3
+
+
+def test_rwa_photon_with_skipped_gates_matches_dense_propagator():
+    p = M.ModelParams(L=8, g=0.5, j0=3, n_max=1, coupling_mode="rwa")
+    state = photon_at(p, 0)
+    t, dt = 0.5, 0.005
+    gates = M.trotter_gates(p, dt=dt, order=3)
+    assert gates.vacuum_bonds == frozenset(range(p.L - 1))
+    out, trace = ev.evolve(state, gates, round(t / dt), max_rank=16,
+                           cutoff=0.0)
+    want = dense_h(p).evolve(mps_to_vec(state), t)
+    assert np.linalg.norm(mps_to_vec(out) - want) < 5e-6
+    assert trace.gates_skipped > 0
+
+
+def test_gate_counts_cover_every_scheduled_gate():
+    p = M.ModelParams(L=40, g=0.5, j0=20, n_max=1, coupling_mode="rwa")
+    state = photon_at(p, 5)
+    gates = M.trotter_gates(p, dt=0.1, order=3)
+    scheduled = sum(g is not None for st in gates.stages for g in st.gates)
+    steps = 20
+    _, trace = ev.evolve(state, gates, steps, max_rank=8)
+    assert trace.gates_applied + trace.gates_skipped == steps * scheduled
+    assert trace.gates_skipped > 0
+    assert trace.gates_applied > 0
+
+
+def test_non_finite_state_raises_numeric_error():
+    p = M.ModelParams(L=6, g=0.5, j0=2, n_max=1, coupling_mode="rwa")
+    state = photon_at(p, 0)
+    sites = list(state.sites)
+    sites[4] = sites[4].copy()
+    sites[4][0, 0, 0] = np.nan
+    bad = MPS(sites, ortho_center=0)
+    gates = M.trotter_gates(p, dt=0.05, order=2)
+    with pytest.raises(NumericError):
+        ev.evolve(bad, gates, 1, max_rank=8)
 
 
 def test_evolve_argument_validation():

@@ -9,6 +9,8 @@ import pytest
 from uscqed import config as C
 from uscqed import sweep as sw
 from uscqed.errors import ConfigError
+from uscqed.evolution import BoundStates
+from uscqed.model import ModelParams
 
 # Free chain: the packet transmits cleanly, so rows are flag-free and cheap.
 # A row is flag-free only if, for every carrier a test uses (omega 0.9, 1.0
@@ -89,6 +91,7 @@ def free_sweep(tmp_path_factory):
     return cfg, rows
 
 
+@pytest.mark.slow
 def test_single_point_sweep_matches_direct_run(free_sweep):
     cfg, rows = free_sweep
     assert len(rows) == 1
@@ -107,6 +110,7 @@ def test_single_point_sweep_matches_direct_run(free_sweep):
     assert row.config_hash == C.config_hash(cfg)
 
 
+@pytest.mark.slow
 def test_resume_recomputes_nothing_and_keeps_bytes(free_sweep):
     cfg, rows = free_sweep
     path = sw.sweep_path(cfg)
@@ -120,6 +124,7 @@ def test_resume_recomputes_nothing_and_keeps_bytes(free_sweep):
     assert again[0].T == rows[0].T
 
 
+@pytest.mark.slow
 def test_run_failures_are_recorded_per_row(tmp_path, monkeypatch):
     cfg = make_config(tmp_path, sweep={"omega_in": [0.9, 1.1]})
     real = sw.sc.run_scattering
@@ -156,6 +161,26 @@ def test_bound_state_failure_marks_all_rows_of_that_coupling(tmp_path,
     assert len(rows) == 2
     assert all("bound states failed" in r.flags for r in rows)
     assert all(math.isnan(r.T) for r in rows)
+
+
+def test_bound_data_passes_its_radius_to_both_solvers(monkeypatch):
+    seen = {}
+
+    def fake_bound_states(params, **kw):
+        seen["window_L"], seen["window_j0"] = params.L, params.j0
+        return BoundStates([0.0, 0.5, 1.5], [None] * 3, [1, -1, 1], [])
+
+    def fake_ground_state(params, **kw):
+        seen["gs_L"], seen["gs_radius"] = params.L, kw.get("radius")
+        return -0.25, "gs", None
+
+    monkeypatch.setattr(sw, "bound_states", fake_bound_states)
+    monkeypatch.setattr(sw, "embedded_ground_state", fake_ground_state)
+    params = ModelParams(L=30, g=0.5, j0=15, n_max=1)
+    gap, gs, e_gs = sw.bound_data(params, radius=3)
+    assert (gap, gs, e_gs) == (1.5, "gs", -0.25)
+    assert seen == {"window_L": 7, "window_j0": 3,
+                    "gs_L": 30, "gs_radius": 3}
 
 
 def test_convergence_study_rejects_empty_lists(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uscqed.errors import NumericError
-from uscqed.tensors import svd_split, truncation_rank
+from uscqed.tensors import split_matrix, svd_split, truncation_rank
 
 
 def rand_tensor(rng, shape):
@@ -102,6 +102,21 @@ class TestSvdSplit:
         t[1, 1] = np.nan
         with pytest.raises(NumericError):
             svd_split(t, [0], max_rank=2)
+
+    def test_falls_back_to_gesvd_when_gesdd_fails(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = rand_tensor(rng, (4, 6))
+        calls = []
+
+        def failing_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        u, s, vh, discarded = split_matrix(m, max_rank=4, cutoff=0.0)
+        assert calls == [(4, 6)]
+        np.testing.assert_allclose((u * s) @ vh, m, atol=1e-12)
+        assert discarded == 0.0
 
     @given(dl=st.integers(1, 8), dr=st.integers(1, 8), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
