@@ -91,20 +91,17 @@ def cmd_bound_states(args) -> int:
     import dataclasses
 
     from .config import config_hash
-    from .evolution import bound_states, scatterer_window
     from .model import band_edges
-    from .sweep import fmt
+    from .sweep import fmt, window_bound_states
 
     cfg = _load_config(args)
     say = _say(args)
     gs_list = cfg.sweep.g or (cfg.model.g,)
-    _, base = scatterer_window(cfg.model)
     rows = []
     for g in gs_list:
         t0 = time.perf_counter()
-        params = dataclasses.replace(base, g=g)
-        bs = bound_states(params, max_rank=max(cfg.evolution.max_rank, 12),
-                          cutoff=min(cfg.evolution.cutoff, 1e-12))
+        bs = window_bound_states(dataclasses.replace(cfg.model, g=g),
+                                 cutoff=min(cfg.evolution.cutoff, 1e-12))
         e0, e1, e2 = (float(x) for x in bs.energies)
         rows.append({"g": g, "E_GS": e0, "E1": e1, "E2": e2,
                      "parity_GS": float(bs.parities[0]),
@@ -117,7 +114,6 @@ def cmd_bound_states(args) -> int:
     print(f"band: [{band[0]:.6f}, {band[1]:.6f}]")
     os.makedirs(cfg.outputs.directory, exist_ok=True)
     chash = config_hash(cfg)
-    path = ""
     if "csv" in cfg.outputs.formats:
         cols = ["g", "E_GS", "E1", "E2", "parity_GS", "parity_E1",
                 "parity_E2", "gap"]

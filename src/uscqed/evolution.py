@@ -3,12 +3,12 @@
 Real time: `evolve` runs even/odd gate sweeps at fixed step size and keeps a
 per-step trace of discarded weight and norm, the raw material for accuracy
 monitoring.  It works on the raw list of site tensors and builds an `MPS`
-only for an observer and for its return value.  One gate is one matrix
-kernel: the two sites are contracted by reshape and matmul into theta of
-shape ``(al, dl*dr, ar)``, the ``(dl*dr, dl*dr)`` gate matrix multiplies
-it, and `tensors.split_matrix` splits it back, the singular values going
-to the side the sweep moves to.  Between gates the orthogonality center
-moves by QR (right) or by the QR of the conjugate transpose (left).
+only for its return value.  One gate is one matrix kernel: the two sites
+are contracted by reshape and matmul into theta of shape ``(al, dl*dr,
+ar)``, the ``(dl*dr, dl*dr)`` gate matrix multiplies it, and
+`tensors.split_matrix` splits it back, the singular values going to the
+side the sweep moves to.  Between gates the orthogonality center moves by
+QR (right) or by the QR of the conjugate transpose (left).
 
 Vacuum skip: a bond whose term annihilates |00> (`TrotterGates.vacuum_bonds`;
 in rwa mode every bond, in full coupling all but the two at j0) has gates
@@ -46,6 +46,9 @@ TRUNCATION_BUDGET = 0.05
 # orders below a 1e-12 weight cutoff.  Exact zeros would almost never
 # occur, since the SVDs leave tails of about 1e-13 in amplitude.
 VACUUM_RTOL = 1e-24
+
+FLOW_CHECK_EVERY = 10
+FLOW_MAX_STEPS = 200_000
 
 # The photon cloud and the bound states decay exponentially away from the
 # scatterer, so they are solved on this many sites either side of j0; a
@@ -184,14 +187,13 @@ class EvolutionTrace:
 
 
 def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
-           cutoff: float = 1e-12, observer=None, t_offset: float = 0.0,
+           cutoff: float = 1e-12, t_offset: float = 0.0,
            warn_budget: float = TRUNCATION_BUDGET):
     """Run ``n_steps`` Trotter steps; returns ``(state, trace)``.
 
-    ``observer(step_index, state)`` is called after every step with a valid
-    MPS (step_index counts from 1).  Norm loss per step is folded into
-    ``log_norm`` only for imaginary-time gates; in real time the raw norm
-    decay is the truncation diagnostic and is left in the tensors.
+    Norm loss per step is folded into ``log_norm`` only for imaginary-time
+    gates; in real time the raw norm decay is the truncation diagnostic and
+    is left in the tensors.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -228,8 +230,6 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
                 f"exceeds the budget {warn_budget:.0e}; raise max_rank",
                 stacklevel=2)
             warned = True
-        if observer is not None:
-            observer(step, MPS(sites, ortho_center=center, log_norm=log_norm))
     return MPS(sites, ortho_center=center, log_norm=log_norm), trace
 
 
@@ -292,8 +292,6 @@ def imaginary_time_ground_state(params: ModelParams, max_rank: int = 16,
                                 cutoff: float = 1e-12, seed: MPS = None,
                                 project_out=(), dtau0: float = 0.1,
                                 dtau_floor: float = 1e-3,
-                                check_every: int = 10,
-                                max_steps: int = 200_000,
                                 tol: float = 1e-6, parity: int = 0):
     """Lowest state reachable from ``seed`` by exp(-H tau), via annealed TEBD.
 
@@ -321,18 +319,18 @@ def imaginary_time_ground_state(params: ModelParams, max_rank: int = 16,
     trace = FlowTrace()
     window: deque = deque(maxlen=10)
     tau = 0.0
-    while trace.steps < max_steps:
-        state, _t = evolve(state, gates, check_every, max_rank, cutoff,
+    while trace.steps < FLOW_MAX_STEPS:
+        state, _t = evolve(state, gates, FLOW_CHECK_EVERY, max_rank, cutoff,
                            warn_budget=np.inf)
         # Once per window is enough for both cleanups: contamination grows
-        # from truncation noise by at most exp(dE * check_every * dtau) ~ e
-        # between applications.
+        # from truncation noise by at most exp(dE * FLOW_CHECK_EVERY * dtau)
+        # ~ e between applications.
         if parity:
             state = _parity_project(state, factors, parity, max_rank, cutoff)
         if below:
             state = _deflate(state, below, max_rank, cutoff)
-        tau += check_every * dtau
-        trace.steps += check_every
+        tau += FLOW_CHECK_EVERY * dtau
+        trace.steps += FLOW_CHECK_EVERY
         e = energy(state, ham)
         trace.taus.append(tau)
         trace.energies.append(e)

@@ -8,6 +8,11 @@ time flows never underflow.
 
 All public functions treat states as immutable and return new objects;
 tensors of unchanged sites are shared, not copied.
+
+Measurements sweep environments, one or a stack, by `_transfer` (Schollwoeck,
+Ann. Phys. 326, 96 (2011)).  With the center at site 0 every site right of y
+is right-canonical, so that chain contracts with its conjugate to the
+identity, and one pass reads ``<op_y>`` and ``<adag_x a_y>`` off traces.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, ResourceError, ShapeError
 from .tensors import split_matrix
@@ -239,12 +243,14 @@ def normalize(state: MPS, center: int = None) -> MPS:
 # expectation values and overlaps
 
 def _transfer(env, bra_site, ket_site, op=None):
-    """env (bl, kl) -> (br, kr), optionally with a local operator inserted."""
-    t = np.tensordot(env, ket_site, axes=(1, 0))           # bl d kr
+    """env (..., bl, kl) -> (..., br, kr), ``op`` acting on the ket site."""
     if op is not None:
-        t = np.tensordot(t, op.T, axes=(1, 0))             # bl kr d'
-        t = t.transpose(0, 2, 1)                           # bl d' kr
-    return np.tensordot(bra_site.conj(), t, axes=((0, 1), (0, 1)))  # br kr
+        ket_site = op @ ket_site                           # kl d' kr
+    kl, d, kr = ket_site.shape
+    bl, _, br = bra_site.shape
+    t = env @ ket_site.reshape(kl, d * kr)                 # ... bl (d kr)
+    t = t.reshape(*env.shape[:-2], bl * d, kr)
+    return bra_site.reshape(bl * d, br).conj().T @ t
 
 
 def overlap(a: MPS, b: MPS) -> complex:
@@ -277,17 +283,11 @@ def site_expectations(state: MPS, ops: Sequence[np.ndarray]) -> np.ndarray:
     """Normalized ``<op_x>`` for one operator per site, in one O(L D^3) sweep."""
     if len(ops) != state.L:
         raise ShapeError("need exactly one operator per site")
-    s = canonicalize(state, 0)
-    sites = list(s.sites)
+    env = np.ones((1, 1), dtype=complex)
     out = np.empty(state.L, dtype=complex)
-    for i in range(state.L):
-        c = sites[i]
-        num = np.tensordot(np.tensordot(c.conj(), ops[i], axes=(1, 0)),
-                           c, axes=((0, 2, 1), (0, 1, 2)))
-        den = np.vdot(c, c)
-        out[i] = num / den
-        if i + 1 < state.L:
-            _qr_step(sites, i)
+    for x, (a, op) in enumerate(zip(normalize(state, 0).sites, ops)):
+        out[x] = np.trace(_transfer(env, a, a, op))
+        env = _transfer(env, a, a)
     return out
 
 
@@ -296,36 +296,29 @@ def product_expectation(state: MPS, ops: Sequence[np.ndarray]) -> complex:
     if len(ops) != state.L:
         raise ShapeError("need exactly one operator per site")
     env = np.ones((1, 1), dtype=complex)
-    envn = np.ones((1, 1), dtype=complex)
     for a, op in zip(state.sites, ops):
         env = _transfer(env, a, a, op)
-        envn = _transfer(envn, a, a)
-    return complex(env[0, 0] / envn[0, 0])
+    c = state.ortho_center     # <psi|psi> without the log_norm factor
+    den = (np.vdot(state.sites[c], state.sites[c]).real if c is not None
+           else overlap(state, state).real * math.exp(-2.0 * state.log_norm))
+    return complex(env[0, 0] / den)
 
 
 def correlator_matrix(state: MPS, a_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Hermitian matrix ``C[x, y] = <adag_x a_y>`` for the given lowering ops."""
+    """Hermitian ``C[x, y] = <adag_x a_y>``; the sweep carries the left
+    environment and, stacked, the open rows ``<adag_x ...`` of all x < y."""
     L = state.L
-    s = normalize(state, 0)
-    sites = list(s.sites)
     C = np.zeros((L, L), dtype=complex)
-    for x in range(L):
-        a_x = np.asarray(a_ops[x])
-        c = sites[x]
-        n_x = a_x.conj().T @ a_x
-        C[x, x] = np.tensordot(np.tensordot(c.conj(), n_x, axes=(1, 0)),
-                               c, axes=((0, 2, 1), (0, 1, 2)))
-        # with the center at x, the chain right of y closes to the identity
-        env = _transfer(np.eye(c.shape[0], dtype=complex), c, c, a_x.conj().T)
-        for y in range(x + 1, L):
-            val = _transfer(env, sites[y], sites[y], a_ops[y])
-            C[x, y] = np.trace(val)
-            C[y, x] = np.conj(C[x, y])
-            if y + 1 < L:
-                env = _transfer(env, sites[y], sites[y])
-        if x + 1 < L:
-            _qr_step(sites, x)
-    return C
+    env = np.ones((1, 1), dtype=complex)
+    rows = np.zeros((0, 1, 1), dtype=complex)
+    for y, (a, a_y) in enumerate(zip(normalize(state, 0).sites, a_ops)):
+        adag_y = np.conj(a_y).T
+        C[:y, y] = np.trace(_transfer(rows, a, a, a_y), axis1=1, axis2=2)
+        C[y, y] = np.trace(_transfer(env, a, a, adag_y @ a_y))
+        rows = np.concatenate([_transfer(rows, a, a),
+                               _transfer(env, a, a, adag_y)[None]])
+        env = _transfer(env, a, a)
+    return C + np.triu(C, 1).conj().T
 
 
 def local_matrix_elements(bra: MPS, ket: MPS, ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -342,8 +335,9 @@ def local_matrix_elements(bra: MPS, ket: MPS, ops: Sequence[np.ndarray]) -> np.n
     for i in range(L - 1, -1, -1):
         mid = _transfer(lefts[i], bra.sites[i], ket.sites[i], ops[i])
         out[i] = np.tensordot(mid, right, axes=((0, 1), (0, 1))) * scale
-        t = np.tensordot(ket.sites[i], right, axes=(2, 1))     # kl d br
-        right = np.tensordot(bra.sites[i].conj(), t, axes=((1, 2), (1, 2)))
+        # a right environment is a left one of the mirrored sites
+        right = _transfer(right, bra.sites[i].transpose(2, 1, 0),
+                          ket.sites[i].transpose(2, 1, 0))
     return out
 
 
@@ -407,13 +401,14 @@ def mpo_expectation(state: MPS, op: MPO) -> complex:
     if op.local_dims != state.local_dims:
         raise ShapeError("operator and state local dimensions differ")
     env = np.ones((1, 1, 1), dtype=complex)    # (bra, mpo, ket)
-    envn = np.ones((1, 1), dtype=complex)
     for a, w in zip(state.sites, op.sites):
         t = np.tensordot(env, a, axes=(2, 0))            # bl wl d kr
         t = np.tensordot(w, t, axes=((0, 2), (1, 2)))    # o wr bl kr
         env = np.tensordot(a.conj(), t, axes=((0, 1), (2, 0)))  # br wr kr
-        envn = _transfer(envn, a, a)
-    return complex(env[0, 0, 0] / envn[0, 0])
+    c = state.ortho_center     # <psi|psi> without the log_norm factor
+    den = (np.vdot(state.sites[c], state.sites[c]).real if c is not None
+           else overlap(state, state).real * math.exp(-2.0 * state.log_norm))
+    return complex(env[0, 0, 0] / den)
 
 
 def _zipup(state: MPS, op: MPO, max_rank: int, cutoff: float):
@@ -464,19 +459,17 @@ def _fit_sweep(fit_sites, state: MPS, op: MPO):
         t = np.tensordot(op.sites[i], t, axes=((2, 3), (1, 3)))    # wl o al fr
         b = np.tensordot(lefts[i], t, axes=((1, 2), (0, 2)))       # fl o fr
         if i > 0:
+            # orthonormal rows of b, from the QR of its conjugate transpose
             l, d, r = b.shape
-            _, q = scipy.linalg.rq(b.reshape(l, d * r), mode="economic")
-            fit_sites[i] = q.reshape(-1, d, r)
+            q, _ = np.linalg.qr(b.reshape(l, d * r).conj().T)
+            fit_sites[i] = q.conj().T.reshape(-1, d, r)
             right = np.tensordot(t, fit_sites[i].conj(),
                                  axes=((1, 3), (1, 2))).transpose(2, 0, 1)
         else:
             fit_sites[i] = b
     # sweep back to restore the left-canonical gauge with center at L-1
     for i in range(L - 1):
-        l, d, r = fit_sites[i].shape
-        q, rm = np.linalg.qr(fit_sites[i].reshape(l * d, r))
-        fit_sites[i] = q.reshape(l, d, -1)
-        fit_sites[i + 1] = np.tensordot(rm, fit_sites[i + 1], axes=(1, 0))
+        _qr_step(fit_sites, i)
 
 
 def apply_mpo(state: MPS, op: MPO, max_rank: int, cutoff: float):

@@ -41,6 +41,9 @@ CLOUD_OVERLAP_LIMIT = 1e-3
 # contaminated; 1e-3 sits well below spectral tolerances without demanding
 # more than ~3 sigma of Gaussian clearance from the walls.
 EDGE_WEIGHT_LIMIT = 1e-3
+# FFT lengths of the n_k and t(omega) grids, per power-of-two chain length.
+NK_PAD_FACTOR = 4
+SPECTRUM_PAD_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -184,8 +187,7 @@ def photon_amplitude(gs: MPS, psi: MPS, params: ModelParams) -> np.ndarray:
     return local_matrix_elements(gs, psi, photon_annihilators(params))
 
 
-def momentum_occupations(state: MPS, params: ModelParams, sites=None,
-                         pad_factor: int = 4):
+def momentum_occupations(state: MPS, params: ModelParams, sites=None):
     """Signed-k photon occupations over the selected ``sites``.
 
     Builds C_{xx'} = <adag_x a_x'> on the window and resolves it on a
@@ -200,7 +202,7 @@ def momentum_occupations(state: MPS, params: ModelParams, sites=None,
         raise ValueError("empty site window")
     c_full = correlator_matrix(state, photon_annihilators(params))
     c = c_full[np.ix_(sites, sites)]
-    n_fft = pad_factor * int(2 ** math.ceil(math.log2(max(params.L, 2))))
+    n_fft = NK_PAD_FACTOR * int(2 ** math.ceil(math.log2(max(params.L, 2))))
     k = 2.0 * math.pi * np.fft.fftfreq(n_fft)
     phases = np.exp(1j * np.outer(k, sites))          # e^{ikx} per mode
     n_k = np.einsum("kx,kx->k", phases @ c, phases.conj()).real / n_fft
@@ -280,8 +282,8 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     contamination is watched on both chain ends for open boundaries but only
     on the far-from-wall end for the mirror geometry, where bouncing off the
     wall is the point of the experiment.  ``measure_nk`` stores windowed
-    momentum occupations on every snapshot; they cost an extra one-body
-    correlator each, so the default records them only at t=0 and the end.
+    momentum occupations on every snapshot, the first and last serving as
+    the run's initial and final ones; each costs a one-body correlator.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -300,7 +302,6 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     gs_pop = float(expectation_local(gs, n_sc, params.j0).real)
     window = analysis_window(params, exclude_radius)
     k_grid, gs_n_k = momentum_occupations(gs, params, window)
-    _, n_k0 = momentum_occupations(state, params, window)
 
     def snap(t, st, discarded):
         return Snapshot(
@@ -330,6 +331,8 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     n_steps = max(1, round(t_final / dt))
     chunk = max(1, n_steps // max(1, n_snapshots))
     snapshots = [snap(0.0, state, 0.0)]
+    n_k0 = snapshots[0].n_k if measure_nk else \
+        momentum_occupations(state, params, window)[1]
     # a clipped launch tail may sit at an edge from the start; per-edge
     # growth beyond that baseline signals the scattered packet arriving
     edge_base = edge_weights(snapshots[0].n_x)
@@ -353,7 +356,8 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
                 edge_time = s.t
         say(f"t={s.t:7.1f}  bond={s.max_bond}  discarded={s.discarded:.2e}")
 
-    _, n_k1 = momentum_occupations(state, params, window)
+    n_k1 = snapshots[-1].n_k if measure_nk else \
+        momentum_occupations(state, params, window)[1]
     if checkpoint is not None:
         save_mps(state, checkpoint)
     result = ScatteringResult(params=params, spec=spec, info=info,
@@ -413,7 +417,7 @@ class TransmissionSpectrum:
 
 
 def transmission_spectrum(result: ScatteringResult, window: int = 10,
-                          taper: int = 8, pad_factor: int = 8,
+                          taper: int = 8,
                           mask_frac: float = 0.05) -> TransmissionSpectrum:
     """t(omega) and r(omega) from the amplitude profile vs the free packet.
 
@@ -435,7 +439,7 @@ def transmission_spectrum(result: ScatteringResult, window: int = 10,
     phi_free = free_reference(p, result.spec, snap.t)
     w_t = _tapered_window(p.L, p.j0 + window, p.L, taper)
     w_r = _tapered_window(p.L, 0, p.j0 - window, taper)
-    n_fft = pad_factor * int(2 ** math.ceil(math.log2(p.L)))
+    n_fft = SPECTRUM_PAD_FACTOR * int(2 ** math.ceil(math.log2(p.L)))
     f_run = np.fft.fft(snap.phi_x * w_t, n_fft)
     f_ref = np.fft.fft(snap.phi_x * w_r, n_fft)
     f_free = np.fft.fft(phi_free * w_t, n_fft)

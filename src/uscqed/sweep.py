@@ -31,6 +31,11 @@ from .model import ModelParams
 # |T + R + P_ine - 1| beyond this marks a row as violating flux balance.
 BALANCE_TOLERANCE = 0.05
 
+# Solver rank and energy tolerance of every gap and sweep ground state; the
+# gap only places the Raman window, and tight excited flows are slow.
+BOUND_RANK = 16
+BOUND_TOL = 1e-4
+
 COLUMNS = ["run_id", "g", "omega_in", "k_in", "T", "R", "p_elastic",
            "p_inelastic", "p_inelastic_t", "p_inelastic_r", "omega_out",
            "omega_out_expected", "gap", "raman_threshold", "gs_energy",
@@ -125,23 +130,26 @@ def _grid(config: RunConfig):
     return [(g, kind, val) for g in gs for kind, val in carriers(config)]
 
 
-def bound_data(params: ModelParams, max_rank: int = 16,
-               cutoff: float = 1e-12, radius: int = WINDOW_RADIUS,
-               tol: float = 1e-4):
+def window_bound_states(params: ModelParams, cutoff: float,
+                        radius: int = WINDOW_RADIUS):
+    """`BoundStates` on the window around j0, behind every reported gap."""
+    _, small = scatterer_window(params, radius)
+    return bound_states(small, max_rank=BOUND_RANK, cutoff=cutoff,
+                        tol=BOUND_TOL)
+
+
+def bound_data(params: ModelParams, cutoff: float = 1e-12,
+               radius: int = WINDOW_RADIUS):
     """(gap, gs, gs_energy) for one coupling; gap from a reduced chain.
 
     The excitation gap E2 - E_GS comes from the three bound states on a
     window around the scatterer; the full-chain ground state comes from the
-    embedded solver and is what scattering runs build packets on.  The gap
-    only has to place the Raman window to a fraction of the packet
-    bandwidth, so the default ``tol`` is loose; the slowly relaxing excited
-    flows dominate the cost otherwise.
+    embedded solver and is what scattering runs build packets on.
     """
-    _, small = scatterer_window(params, radius)
-    bs = bound_states(small, max_rank=max_rank, cutoff=cutoff, tol=tol)
-    gap = float(bs.energies[2] - bs.energies[0])
-    e_gs, gs, _ = embedded_ground_state(params, max_rank=max_rank,
-                                        cutoff=cutoff, radius=radius, tol=tol)
+    gap = float(window_bound_states(params, cutoff, radius).raman_gap)
+    e_gs, gs, _ = embedded_ground_state(params, max_rank=BOUND_RANK,
+                                        cutoff=cutoff, radius=radius,
+                                        tol=BOUND_TOL)
     return gap, gs, float(e_gs)
 
 
@@ -385,7 +393,7 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
                 if key not in ground:
                     e_gs, gs, _ = embedded_ground_state(
                         params, max_rank=key[1],
-                        cutoff=min(evo.cutoff, 1e-12), tol=1e-4)
+                        cutoff=min(evo.cutoff, 1e-12), tol=BOUND_TOL)
                     ground[key] = (gs, float(e_gs))
                 gs, e_gs = ground[key]
                 result = sc.run_scattering(params, config.packet, evo.t_final,

@@ -1,5 +1,7 @@
-"""Command-line exit codes for bad input, run in-process through `cli.main`."""
+"""Command-line exit codes for bad input, and what the commands report, run
+in-process through `cli.main`."""
 
+import csv
 import json
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from uscqed import cli
 from uscqed import evolution as ev
 from uscqed import sweep as sw
+from uscqed.config import config_hash, parse_config
 
 COMMANDS = ["ground-state", "bound-states", "scatter", "sweep", "converge"]
 
@@ -25,6 +28,7 @@ def no_solves(monkeypatch):
         raise AssertionError("a solve started for a config that is invalid")
 
     monkeypatch.setattr(sw, "bound_data", forbidden)
+    monkeypatch.setattr(sw, "bound_states", forbidden)
     monkeypatch.setattr(sw, "embedded_ground_state", forbidden)
     monkeypatch.setattr(ev, "embedded_ground_state", forbidden)
     monkeypatch.setattr(ev, "bound_states", forbidden)
@@ -78,3 +82,15 @@ def test_sweep_carrier_outside_band_is_rejected_before_any_solve(
     assert cli.main(["sweep", "--config", path]) == cli.EXIT_CONFIG
     assert "carrier omega=1.8" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_bound_states_command_reports_the_gap_a_sweep_uses(tmp_path):
+    path = write_config(tmp_path, model={"L": 6, "j0": 3, "g": 0.6},
+                        packet={"sigma": 1.0, "x0": 0.0})
+    assert cli.main(["bound-states", "--config", path, "--quiet"]) \
+        == cli.EXIT_OK
+    cfg = parse_config(path)
+    table = tmp_path / "out" / f"bound_states_{config_hash(cfg)}.csv"
+    with open(table, encoding="utf-8", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["gap"]) == sw.bound_data(cfg.model)[0]

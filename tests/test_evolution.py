@@ -84,16 +84,6 @@ def test_truncation_accounting_matches_norm_loss():
                                            abs=1e-10)
 
 
-def test_observer_sees_every_step():
-    p = P_SMALL
-    seen = []
-    gates = M.trotter_gates(p, dt=0.05, order=2)
-    ev.evolve(photon_at(p, 0), gates, 7, max_rank=8,
-              observer=lambda i, s: seen.append((i, s.L, norm(s))))
-    assert [i for i, _, _ in seen] == list(range(1, 8))
-    assert all(L == p.L and np.isfinite(n) for _, L, n in seen)
-
-
 def test_truncation_budget_warning():
     p = M.ModelParams(L=6, g=1.2, j0=2, n_max=2)
     gates = M.trotter_gates(p, dt=0.1, order=2)

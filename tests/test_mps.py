@@ -158,6 +158,56 @@ class TestExpectations:
                 want = vec.conj() @ denseref.embed_ops([3] * L, ops) @ vec
                 assert C[x, y] == pytest.approx(want, abs=1e-10)
 
+    @staticmethod
+    def dense_correlator(vec, dims, a_ops):
+        vec = vec / np.linalg.norm(vec)
+        L = len(dims)
+        C = np.empty((L, L), dtype=complex)
+        for x in range(L):
+            for y in range(L):
+                ad, a = a_ops[x].conj().T, a_ops[y]
+                ops = {x: ad, y: a} if x != y else {x: ad @ a}
+                C[x, y] = vec.conj() @ denseref.embed_ops(dims, ops) @ vec
+        return C
+
+    def test_correlator_matrix_on_ragged_dimensions_matches_dense(self):
+        # a fused scatterer site between photon sites
+        rng = np.random.default_rng(28)
+        dims = [3, 3, 6, 3, 3]
+        st = random_mps(rng, 5, dims, 7)
+        a_ops = [lowering_op(d) for d in dims]
+        np.testing.assert_allclose(
+            m.correlator_matrix(st, a_ops),
+            self.dense_correlator(mps_to_vec(st), dims, a_ops), atol=1e-10)
+
+    def test_measurements_of_a_state_without_center_match_dense(self):
+        # add() leaves no orthogonality center and an unnormalized state
+        rng = np.random.default_rng(29)
+        dims = [2, 3, 3, 2, 3]
+        a = random_mps(rng, 5, dims, 3, log_norm=-0.4)
+        b = random_mps(rng, 5, dims, 4, log_norm=0.3)
+        st = m.add(a, b, 0.8, -0.5j)
+        st = m.MPS(st.sites, ortho_center=None, log_norm=0.7)
+        vec = mps_to_vec(st)
+        assert abs(np.linalg.norm(vec) - 1.0) > 0.1
+        a_ops = [lowering_op(d) for d in dims]
+        np.testing.assert_allclose(
+            m.correlator_matrix(st, a_ops),
+            self.dense_correlator(vec, dims, a_ops), atol=1e-10)
+        unit = vec / np.linalg.norm(vec)
+        n_ops = [number_op(d) for d in dims]
+        want = [unit.conj() @ denseref.embed_ops(dims, {x: n_ops[x]}) @ unit
+                for x in range(5)]
+        np.testing.assert_allclose(m.site_expectations(st, n_ops), want,
+                                   atol=1e-10)
+        par = [np.diag((-1.0) ** np.arange(d)).astype(complex) for d in dims]
+        want = (unit.conj() @ denseref.embed_ops(dims, dict(enumerate(par)))
+                @ unit)
+        assert m.product_expectation(st, par) == pytest.approx(want, abs=1e-10)
+        op = random_mpo(rng, 5, dims, 3)
+        want = unit.conj() @ mpo_to_mat(op) @ unit
+        assert m.mpo_expectation(st, op) == pytest.approx(want, abs=1e-10)
+
     def test_product_expectation_matches_dense(self):
         rng = np.random.default_rng(27)
         st = random_mps(rng, 4, 2, 4)
@@ -296,6 +346,25 @@ class TestApplyMpo:
         nf = math.sqrt(m.overlap(fitted, fitted).real)
         ne = math.sqrt(m.overlap(exact, exact).real)
         fidelity = abs(overlap) / (nf * ne)
+        assert fidelity > 1.0 - 5.0 * err - 1e-8
+
+    def test_truncating_application_is_polished_by_the_fitting_sweep(
+            self, monkeypatch):
+        rng = np.random.default_rng(47)
+        L, d = 7, 2
+        st = random_mps(rng, L, d, 6)
+        op = random_mpo(rng, L, d, 3)
+        fits = []
+        fit_sweep = m._fit_sweep
+        monkeypatch.setattr(m, "_fit_sweep",
+                            lambda *a: fits.append(1) or fit_sweep(*a))
+        fitted, err = m.apply_mpo(st, op, max_rank=4, cutoff=1e-14)
+        assert err > 1e-8 and len(fits) == 1
+        assert_canonical(fitted)
+        want = mpo_to_mat(op) @ mps_to_vec(st)
+        got = mps_to_vec(fitted)
+        fidelity = abs(np.vdot(want, got)) / (np.linalg.norm(want)
+                                              * np.linalg.norm(got))
         assert fidelity > 1.0 - 5.0 * err - 1e-8
 
     def test_bond_explosion_reports_resource_error(self, monkeypatch):

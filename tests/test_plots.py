@@ -1,0 +1,80 @@
+"""Gnuplot emission from synthetic result tables, and the `plot` command."""
+
+import csv
+import json
+import os
+
+import numpy as np
+
+from uscqed import cli
+from uscqed.plots import emit_plots
+
+
+def sweep_table(tmp_path):
+    """Two couplings with run sidecars, and one row whose sidecar is absent."""
+    rows = []
+    omega = np.linspace(0.8, 1.2, 9)
+    for i, g in enumerate((0.4, 0.8)):
+        name = f"run_{i:03d}.json"
+        payload = {"omega": list(omega), "T": list(1.0 - g * omega / 2),
+                   "broadband_omega": list(omega),
+                   "broadband_p_ine": list(g * (omega - 0.8))}
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+        rows.append({"run_id": f"r{i}", "g": g, "n_max": 2,
+                     "raman_threshold": 0.9 + 0.1 * g, "flags": "",
+                     "sidecar": name})
+    rows.append({"run_id": "r2", "g": 1.2, "n_max": 2,
+                 "raman_threshold": 1.0, "flags": "", "sidecar": ""})
+    return rows
+
+
+def test_fig4_and_fig5_from_a_two_coupling_sweep(tmp_path):
+    rows = sweep_table(tmp_path)
+    out = tmp_path / "plots"
+    for fig, overlay in (("fig4", "fig4_resonance.csv"),
+                         ("fig5", "fig5_threshold.csv")):
+        paths, gaps = emit_plots(rows, fig, out_dir=str(out),
+                                 sidecar_dir=str(tmp_path))
+        names = {os.path.basename(p) for p in paths}
+        assert {f"{fig}.gp", f"{fig}_data.csv", overlay,
+                f"{fig}_gaps.txt"} <= names
+        assert gaps == ["run r2: no sidecar (rerun with json output)"]
+        script = (out / f"{fig}.gp").read_text(encoding="utf-8")
+        assert f"'{fig}_data.csv'" in script and overlay in script
+        data = (out / f"{fig}_data.csv").read_text(encoding="utf-8")
+        blocks = [b for b in data.split("\n\n") if b.strip()]
+        assert len(blocks) == 2               # one block per coupling
+    thresholds = (out / "fig5_threshold.csv").read_text(encoding="utf-8")
+    assert thresholds.splitlines()[1:] == ["0.4 0.94", "0.8 0.98"]
+
+
+def test_fig2_renders_from_a_bound_states_table(tmp_path):
+    table = tmp_path / "bound_states.csv"
+    with open(table, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["g", "E_GS", "E1", "E2", "parity_GS", "parity_E1",
+                    "parity_E2", "gap"])
+        w.writerow([0.8, -0.25, 0.5, 0.75, 1, -1, 1, 1.0])
+        w.writerow([0.4, -0.0625, 0.75, 0.875, 1, -1, 1, 0.9375])
+    out = tmp_path / "plots"
+    assert cli.main(["plot", "--figure", "fig2", "--table", str(table),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "fig2.gp").exists()
+    data = (out / "fig2_data.csv").read_text(encoding="utf-8").splitlines()
+    assert data[0] == "# g E_GS E1 E2"
+    # sorted by coupling, energies at full precision
+    assert data[1:] == ["0.4 -0.0625 0.75 0.875", "0.8 -0.25 0.5 0.75"]
+
+
+def test_plot_command_rejects_a_table_without_the_figure(tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    with open(table, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["run_id", "g", "omega_in", "T", "flags", "sidecar"])
+        w.writerow(["r0", 0.5, 1.0, 0.4, "", ""])
+    for fig in ("fig2", "fig4"):
+        assert cli.main(["plot", "--figure", fig, "--table", str(table),
+                         "--out", str(tmp_path / "plots")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "table cannot support the figure" in err
+        assert "gap: " in err

@@ -203,6 +203,25 @@ def test_rwa_scatterer_excites_and_relaxes(rwa_run):
     assert np.max(np.abs(par + 1.0)) < 1e-8
 
 
+def test_nk_series_supplies_the_initial_and_final_occupations(monkeypatch):
+    p = M.ModelParams(L=24, g=0.5, j0=12, n_max=1, coupling_mode="rwa")
+    spec = sc.WavepacketSpec(omega=1.0, sigma=2.0, x0=4.0)
+    kw = dict(t_final=6.0, dt=0.25, order=2, max_rank=4, cutoff=1e-12,
+              n_snapshots=3, gs=vacuum(p), gs_energy=0.0, exclude_radius=2)
+    plain = sc.run_scattering(p, spec, **kw)
+    calls = []
+    correlator = sc.correlator_matrix
+    monkeypatch.setattr(sc, "correlator_matrix",
+                        lambda *a: calls.append(1) or correlator(*a))
+    series = sc.run_scattering(p, spec, measure_nk=True, **kw)
+    # one correlator per snapshot, plus the ground-state background
+    assert len(calls) == len(series.snapshots) + 1
+    assert np.array_equal(series.n_k_initial, plain.n_k_initial)
+    assert np.array_equal(series.n_k_final, plain.n_k_final)
+    assert np.array_equal(series.snapshots[0].n_k, series.n_k_initial)
+    assert np.array_equal(series.snapshots[-1].n_k, series.n_k_final)
+
+
 def test_run_scattering_rejects_bad_time():
     with pytest.raises(ValueError, match="t_final"):
         sc.run_scattering(P_FREE, SPEC_FREE, t_final=0.0)
