@@ -3,7 +3,8 @@
 Every subcommand takes ``--config`` (a strict JSON file), ``--preset``, or
 both (the flag overrides the file's preset).  Heavy modules load inside the
 handlers so ``--help`` stays instant.  Exit codes: 0 success, 2 config
-error, 3 resource error, 4 results carrying validity flags.
+error, 3 resource error, 4 results carrying validity flags or an invalid
+run (non-finite data, a missing input, a solve that did not converge).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import os
 import sys
 import time
 
-from .errors import (BandEdgeError, ConfigError, DependencyError,
-                     NumericError, ResourceError)
+from .errors import (BandEdgeError, ConfigError, ConvergenceError,
+                     DependencyError, NumericError, ResourceError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
     except (ResourceError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (NumericError, DependencyError) as exc:
+    except (NumericError, DependencyError, ConvergenceError) as exc:
         print(f"invalid run: {exc}", file=sys.stderr)
         return EXIT_FLAGGED
     except KeyboardInterrupt:

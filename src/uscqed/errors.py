@@ -26,10 +26,6 @@ class ConvergenceError(RuntimeError):
         self.trace = trace
 
 
-class SeedCollapseError(RuntimeError):
-    """Orthogonal projection annihilated the working state (degenerate seed)."""
-
-
 class DependencyError(RuntimeError):
     """A required precomputed input (e.g. a bound-state energy) is missing."""
 

@@ -250,7 +250,6 @@ class Stage:
 class TrotterGates:
     dt: float
     order: int
-    imaginary: bool
     stages: tuple = field(repr=False)
     local_dims: tuple = ()
     # bonds whose term annihilates the two-site vacuum |00>, so that every
@@ -267,23 +266,19 @@ def stage_coefficients(order: int):
     raise ValueError(f"unsupported Trotter order {order}; choose 2 or 3")
 
 
-def trotter_gates(params: ModelParams, dt: float, order: int = 3,
-                  imaginary: bool = False) -> TrotterGates:
-    """Even/odd bond gates realizing exp(-i H dt) to the requested order.
-
-    ``imaginary=True`` builds exp(-H dt) stages instead (ground-state flow).
-    """
+def trotter_gates(params: ModelParams, dt: float,
+                  order: int = 3) -> TrotterGates:
+    """Even/odd bond gates realizing exp(-i H dt) to the requested order."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     terms = bond_terms(params)
     dims = params.local_dims()
-    prefactor = -dt if imaginary else -1j * dt
     cache: dict = {}
 
     def gate(x, coeff):
         key = (x, coeff) if _is_special(params, x) else (None, dims[x], coeff)
         if key not in cache:
-            cache[key] = scipy.linalg.expm(prefactor * coeff * terms[x])
+            cache[key] = scipy.linalg.expm(-1j * dt * coeff * terms[x])
         return cache[key]
 
     stages = []
@@ -292,9 +287,8 @@ def trotter_gates(params: ModelParams, dt: float, order: int = 3,
                       for x in range(params.L - 1))
         stages.append(Stage(parity, coeff, gates))
     vacuum = frozenset(x for x, h in enumerate(terms) if not np.any(h[:, 0]))
-    return TrotterGates(dt=dt, order=order, imaginary=imaginary,
-                        stages=tuple(stages), local_dims=tuple(dims),
-                        vacuum_bonds=vacuum)
+    return TrotterGates(dt=dt, order=order, stages=tuple(stages),
+                        local_dims=tuple(dims), vacuum_bonds=vacuum)
 
 
 def _is_special(params: ModelParams, x: int) -> bool:

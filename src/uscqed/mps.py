@@ -2,9 +2,9 @@
 
 Site tensors are rank 3 with axes ``(left bond, physical, right bond)``;
 MPO tensors are rank 4 with axes ``(left bond, phys out, phys in, right
-bond)``.  Boundary bonds have extent 1.  Overall normalization is tracked
-in a ``log_norm`` accumulator instead of rescaling tensors, so imaginary
-time flows never underflow.
+bond)``.  Boundary bonds have extent 1.  A state may carry its overall
+scale in a ``log_norm`` factor instead of its tensors; every function here
+honours it.
 
 All public functions treat states as immutable and return new objects;
 tensors of unchanged sites are shared, not copied.
@@ -396,15 +396,24 @@ def compress(state: MPS, max_rank: int, cutoff: float):
     return MPS(sites, ortho_center=0, log_norm=state.log_norm), 1.0 - kept
 
 
+def _mpo_transfer(env, site, w):
+    """(bra, mpo, ket) environment through one site, bra = ket = ``site``.
+
+    A right environment is a left one of the mirrored chain: pass
+    ``site.transpose(2, 1, 0)`` and ``w.transpose(3, 1, 2, 0)``.
+    """
+    t = np.tensordot(env, site, axes=(2, 0))               # bl wl d kr
+    t = np.tensordot(w, t, axes=((0, 2), (1, 2)))          # o wr bl kr
+    return np.tensordot(site.conj(), t, axes=((0, 1), (2, 0)))  # br wr kr
+
+
 def mpo_expectation(state: MPS, op: MPO) -> complex:
     """Normalized ``<psi|O|psi>``."""
     if op.local_dims != state.local_dims:
         raise ShapeError("operator and state local dimensions differ")
     env = np.ones((1, 1, 1), dtype=complex)    # (bra, mpo, ket)
     for a, w in zip(state.sites, op.sites):
-        t = np.tensordot(env, a, axes=(2, 0))            # bl wl d kr
-        t = np.tensordot(w, t, axes=((0, 2), (1, 2)))    # o wr bl kr
-        env = np.tensordot(a.conj(), t, axes=((0, 1), (2, 0)))  # br wr kr
+        env = _mpo_transfer(env, a, w)
     c = state.ortho_center     # <psi|psi> without the log_norm factor
     den = (np.vdot(state.sites[c], state.sites[c]).real if c is not None
            else overlap(state, state).real * math.exp(-2.0 * state.log_norm))

@@ -32,7 +32,7 @@ from .model import ModelParams
 BALANCE_TOLERANCE = 0.05
 
 # Solver rank and energy tolerance of every gap and sweep ground state; the
-# gap only places the Raman window, and tight excited flows are slow.
+# gap only places the Raman window.
 BOUND_RANK = 16
 BOUND_TOL = 1e-4
 
@@ -143,14 +143,15 @@ def bound_data(params: ModelParams, cutoff: float = 1e-12,
     """(gap, gs, gs_energy) for one coupling; gap from a reduced chain.
 
     The excitation gap E2 - E_GS comes from the three bound states on a
-    window around the scatterer; the full-chain ground state comes from the
-    embedded solver and is what scattering runs build packets on.
+    window around the scatterer.  The window's ground state, embedded in
+    the full chain and polished there, is what scattering runs build
+    packets on, so each coupling solves its ground state once.
     """
-    gap = float(window_bound_states(params, cutoff, radius).raman_gap)
+    bs = window_bound_states(params, cutoff, radius)
     e_gs, gs, _ = embedded_ground_state(params, max_rank=BOUND_RANK,
                                         cutoff=cutoff, radius=radius,
-                                        tol=BOUND_TOL)
-    return gap, gs, float(e_gs)
+                                        tol=BOUND_TOL, core=bs.states[0])
+    return float(bs.raman_gap), gs, float(e_gs)
 
 
 def _interp_at(x0: float, x: np.ndarray, y: np.ndarray) -> float:

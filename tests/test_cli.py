@@ -10,6 +10,7 @@ from uscqed import cli
 from uscqed import evolution as ev
 from uscqed import sweep as sw
 from uscqed.config import config_hash, parse_config
+from uscqed.errors import ConvergenceError
 
 COMMANDS = ["ground-state", "bound-states", "scatter", "sweep", "converge"]
 
@@ -94,3 +95,14 @@ def test_bound_states_command_reports_the_gap_a_sweep_uses(tmp_path):
     with open(table, encoding="utf-8", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert float(row["gap"]) == sw.bound_data(cfg.model)[0]
+
+
+def test_unconverged_solve_is_an_invalid_run(tmp_path, capsys, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise ConvergenceError("DMRG energy not within 1.0e-06 after 40 "
+                               "sweeps", trace=ev.DmrgTrace(sweeps=40))
+
+    monkeypatch.setattr(ev, "embedded_ground_state", unconverged)
+    path = write_config(tmp_path)
+    assert cli.main(["ground-state", "--config", path]) == cli.EXIT_FLAGGED
+    assert "invalid run: DMRG energy not within" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""TEBD evolution and imaginary-time bound-state search."""
+"""TEBD evolution and the DMRG ground- and bound-state search."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from denseref import DenseModel, mps_to_vec
 from uscqed import evolution as ev
 from uscqed import model as M
-from uscqed.errors import NumericError, SeedCollapseError
+from uscqed.errors import ConvergenceError, NumericError
 from uscqed.mps import MPS, norm, overlap, product_state
 
 
@@ -162,7 +162,7 @@ def test_energy_matches_dense_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# imaginary time
+# DMRG
 
 def dense_parity_levels(params):
     """Eigenvalues labeled by parity from the dense model."""
@@ -174,26 +174,31 @@ def dense_parity_levels(params):
 
 def test_ground_state_matches_dense():
     p = M.ModelParams(L=5, g=0.8, j0=2, n_max=2)
-    e, state, trace = ev.imaginary_time_ground_state(p, max_rank=12)
+    e, state, _ = ev.ground_state(p, max_rank=12)
     vals, _ = dense_parity_levels(p)
     assert e == pytest.approx(vals[0], abs=1e-5)
     assert M.parity_expectation(state, p) == pytest.approx(1.0, abs=1e-8)
-    assert trace.dtaus[-1] == pytest.approx(1e-3)
+    # a complex seed runs the solve in complex arithmetic, to the same state
+    vac = ev.vacuum_state(p)
+    seed = MPS([vac.sites[0] * np.exp(0.3j)] + vac.sites[1:], ortho_center=0)
+    e_c, state_c, _ = ev.ground_state(p, max_rank=12, seed=seed)
+    assert e_c == pytest.approx(e, abs=1e-10)
+    assert abs(overlap(state, state_c)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_rwa_ground_state_is_vacuum():
     p = M.ModelParams(L=5, g=0.3, j0=2, n_max=2, coupling_mode="rwa")
-    e, state, _ = ev.imaginary_time_ground_state(p, max_rank=8)
+    e, state, _ = ev.ground_state(p, max_rank=8)
     assert abs(e) < 1e-10
     vac = ev.vacuum_state(p)
     assert abs(overlap(vac, state)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_decoupled_chain_single_photon_relaxes_to_band_bottom():
-    # g=0: the n=1 photon sector is invariant; its bottom is the k1 mode
+    # g=0: the odd sector's minimum is one photon in the k1 mode, below the
+    # excited scatterer (Delta = 1) that seeds the odd solve
     p = M.ModelParams(L=5, g=0.0, j0=2, n_max=2)
-    seed = photon_at(p, 1)
-    e, _, _ = ev.imaginary_time_ground_state(p, max_rank=8, seed=seed)
+    e, _, _ = ev.ground_state(p, max_rank=8, parity=-1)
     want = 1.0 + 2.0 * p.J * math.cos(math.pi / (p.L + 1))
     assert e == pytest.approx(want, abs=1e-4)
 
@@ -214,17 +219,46 @@ def test_bound_states_match_dense_spectrum():
     assert abs(overlap(bs.states[0], bs.states[2])) < 1e-6
 
 
-def test_seed_in_projected_span_collapses():
-    p = M.ModelParams(L=3, g=0.3, j0=1, n_max=1)
-    _, gs, _ = ev.imaginary_time_ground_state(p, max_rank=8)
-    with pytest.raises(SeedCollapseError):
-        ev.imaginary_time_ground_state(p, max_rank=8, seed=gs,
-                                       project_out=[gs])
+def test_every_returned_state_has_exact_parity():
+    # max_rank 6 truncates, and the split keeps every bond index in one sector
+    p = M.ModelParams(L=6, g=0.9, j0=2, n_max=2)
+    bs = ev.bound_states(p, max_rank=6)
+    long = M.ModelParams(L=10, g=0.9, j0=5, n_max=2)
+    _, gs, _ = ev.embedded_ground_state(long, max_rank=6, radius=2)
+    got = bs.parities + [M.parity_expectation(gs, long)]
+    assert got == pytest.approx([1.0, -1.0, 1.0, 1.0], abs=1e-10)
+
+
+def test_truncated_ground_state_energy_is_variational():
+    p = M.ModelParams(L=5, g=1.0, j0=2, n_max=2)
+    e, state, trace = ev.ground_state(p, max_rank=2, cutoff=0.0)
+    vals, _ = dense_parity_levels(p)
+    assert state.max_bond == 2
+    assert trace.discarded > 1e-8      # rank 2 is below the exact rank
+    assert e >= vals[0] - 1e-12
+    assert e == pytest.approx(ev.energy(state, M.hamiltonian_mpo(p)),
+                              abs=1e-12)
+
+
+def test_seed_without_weight_in_the_sector_is_rejected():
+    p = M.ModelParams(L=4, g=0.3, j0=1, n_max=1)
+    with pytest.raises(ValueError, match="parity sector"):
+        ev.ground_state(p, seed=ev.vacuum_state(p), parity=-1)
+
+
+def test_sweep_cap_raises_convergence_error_with_its_trace(monkeypatch):
+    monkeypatch.setattr(ev, "DMRG_MAX_SWEEPS", 1)
+    p = M.ModelParams(L=4, g=0.5, j0=1, n_max=1)
+    with pytest.raises(ConvergenceError) as exc:
+        ev.ground_state(p)
+    trace = exc.value.trace
+    assert trace.sweeps == 1 and len(trace.energies) == 1
+    assert trace.matvecs > 0
 
 
 def test_embedded_ground_state_agrees_with_direct():
     p = M.ModelParams(L=12, g=0.6, j0=6, n_max=2)
-    e_direct, _, _ = ev.imaginary_time_ground_state(p, max_rank=10)
+    e_direct, _, _ = ev.ground_state(p, max_rank=10)
     e_embed, state, _ = ev.embedded_ground_state(p, max_rank=10, radius=3)
     assert e_embed == pytest.approx(e_direct, abs=1e-5)
     assert state.L == p.L

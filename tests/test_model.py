@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,19 +229,6 @@ def test_step_error_scaling(order, min_ratio):
         approx = np.linalg.matrix_power(step, steps) @ psi
         errs.append(np.linalg.norm(approx - dm.evolve(psi, t_total)))
     assert errs[0] / errs[1] > min_ratio
-
-
-def test_imaginary_time_step_matches_expm():
-    p = M.ModelParams(L=4, g=0.5, j0=1, n_max=1)
-    dims = p.local_dims()
-    dm = dense_h(p)
-    errs = []
-    for dt in (0.02, 0.01):
-        step = step_matrix(M.trotter_gates(p, dt=dt, order=2, imaginary=True),
-                           dims)
-        errs.append(np.linalg.norm(step - scipy.linalg.expm(-dt * dm.H)))
-    assert errs[0] < 1e-4
-    assert errs[0] / errs[1] > 6.0   # local error is third order in dt
 
 
 def test_trotter_gate_cache_shares_bulk_gates():

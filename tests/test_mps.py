@@ -341,7 +341,9 @@ class TestApplyMpo:
         st = random_mps(rng, L, d, 6)
         op = random_mpo(rng, L, d, 3)
         exact, _ = m.apply_mpo(st, op, max_rank=64, cutoff=0.0)
-        fitted, err = m.apply_mpo(st, op, max_rank=8, cutoff=1e-14)
+        # rank 4 sits below the exact rank 8 of the middle bond
+        fitted, err = m.apply_mpo(st, op, max_rank=4, cutoff=1e-14)
+        assert err > 1e-8
         overlap = m.overlap(fitted, exact)
         nf = math.sqrt(m.overlap(fitted, fitted).real)
         ne = math.sqrt(m.overlap(exact, exact).real)

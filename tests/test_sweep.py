@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from uscqed import config as C
+from uscqed import evolution as ev
+from uscqed import model as M
 from uscqed import sweep as sw
 from uscqed.errors import ConfigError
 from uscqed.evolution import BoundStates
@@ -91,7 +93,6 @@ def free_sweep(tmp_path_factory):
     return cfg, rows
 
 
-@pytest.mark.slow
 def test_single_point_sweep_matches_direct_run(free_sweep):
     cfg, rows = free_sweep
     assert len(rows) == 1
@@ -110,7 +111,6 @@ def test_single_point_sweep_matches_direct_run(free_sweep):
     assert row.config_hash == C.config_hash(cfg)
 
 
-@pytest.mark.slow
 def test_resume_recomputes_nothing_and_keeps_bytes(free_sweep):
     cfg, rows = free_sweep
     path = sw.sweep_path(cfg)
@@ -124,7 +124,6 @@ def test_resume_recomputes_nothing_and_keeps_bytes(free_sweep):
     assert again[0].T == rows[0].T
 
 
-@pytest.mark.slow
 def test_run_failures_are_recorded_per_row(tmp_path, monkeypatch):
     cfg = make_config(tmp_path, sweep={"omega_in": [0.9, 1.1]})
     real = sw.sc.run_scattering
@@ -168,10 +167,12 @@ def test_bound_data_passes_its_radius_to_both_solvers(monkeypatch):
 
     def fake_bound_states(params, **kw):
         seen["window_L"], seen["window_j0"] = params.L, params.j0
-        return BoundStates([0.0, 0.5, 1.5], [None] * 3, [1, -1, 1], [])
+        return BoundStates([0.0, 0.5, 1.5], ["window gs", "e1", "e2"],
+                           [1, -1, 1], [])
 
     def fake_ground_state(params, **kw):
         seen["gs_L"], seen["gs_radius"] = params.L, kw.get("radius")
+        seen["gs_core"] = kw.get("core")
         return -0.25, "gs", None
 
     monkeypatch.setattr(sw, "bound_states", fake_bound_states)
@@ -180,7 +181,34 @@ def test_bound_data_passes_its_radius_to_both_solvers(monkeypatch):
     gap, gs, e_gs = sw.bound_data(params, radius=3)
     assert (gap, gs, e_gs) == (1.5, "gs", -0.25)
     assert seen == {"window_L": 7, "window_j0": 3,
-                    "gs_L": 30, "gs_radius": 3}
+                    "gs_L": 30, "gs_radius": 3, "gs_core": "window gs"}
+
+
+@pytest.mark.parametrize("L,radius", [(6, sw.WINDOW_RADIUS), (12, 2)])
+def test_bound_data_solves_the_ground_state_once(monkeypatch, L, radius):
+    solves = []
+    solve = ev.ground_state
+
+    def counted(params, *args, **kw):
+        solves.append((params.L, kw.get("parity", 1),
+                       len(kw.get("orthogonal_to", ())),
+                       kw.get("seed") is None))
+        return solve(params, *args, **kw)
+
+    monkeypatch.setattr(ev, "ground_state", counted)
+    params = ModelParams(L=L, g=0.6, j0=L // 2, n_max=1)
+    _, gs, e_gs = sw.bound_data(params, radius=radius)
+    window = min(L, 2 * radius + 1)
+    # gs, E1 and E2 on the window; a longer chain adds one polish from the
+    # embedded window ground state, never a second solve from scratch
+    want = [(window, 1, 0, True), (window, -1, 0, True),
+            (window, 1, 1, False)]
+    if window < L:
+        want.append((L, 1, 0, False))
+    assert solves == want
+    assert gs.L == L
+    assert e_gs == pytest.approx(
+        ev.energy(gs, M.hamiltonian_mpo(params)), abs=1e-12)
 
 
 def test_convergence_study_rejects_empty_lists(tmp_path):
