@@ -1,14 +1,38 @@
 """Real-time TEBD, and DMRG for the ground state and the bound states.
 
-Real time: `evolve` runs even/odd gate sweeps at fixed step size and keeps a
+Real time: `evolve` runs the Trotter stages at fixed step size and keeps a
 per-step trace of discarded weight and norm, the raw material for accuracy
-monitoring.  It works on the raw list of site tensors and builds an `MPS`
-only for its return value.  One gate is one matrix kernel: the two sites
-are contracted by reshape and matmul into theta of shape ``(al, dl*dr,
-ar)``, the ``(dl*dr, dl*dr)`` gate matrix multiplies it, and
-`tensors.split_matrix` splits it back, the singular values going to the
-side the sweep moves to.  Between gates the orthogonality center moves by
-QR (right) or by the QR of the conjugate transpose (left).
+monitoring.  It works on raw lists of tensors in Hastings' form (Vidal, PRL
+93, 040502 (2004); Hastings, J. Math. Phys. 50, 095207 (2009)): sites B
+that are right-canonical, and the singular values lambda of every bond.
+
+- Entry: the gauge is built exactly, once per call.  The center goes to the
+  last site and one right-to-left sweep of `tensors.split_matrix` gives B
+  and lambda; a non-finite state raises `NumericError` there.
+- Stage: the gates of a stage act on disjoint bonds, so they run at once.
+  Theta = lambda B B is formed with the gate multiplied in by batched
+  matmuls, one SVD launch splits all thetas of one shape, and
+  `tensors.truncation_ranks` picks every kept rank.  The right site becomes
+  the kept rows of vh and the left site (gate B B) vh^H: no lambda is ever
+  inverted, and no center moves.
+- Exit: `canonicalize` rebuilds the returned `MPS` from the B list with its
+  center at site 0, so measurements see an exact gauge.
+
+The form is exact up to truncation only while every gate is unitary.  The
+order-3 product formula has complex stage coefficients (`model.P3` = 1/2 +
+i sqrt(3)/6), so its stage gates are not unitary and the B drift off
+right-canonical form: Sum B B^dag = 1 fails by an amount of order dt (about
+0.26 at dt = 0.25 and 0.06 at dt = 0.05 on a random state, set in the first
+step and not growing after it).  Truncation then weighs each bond by
+slightly wrong values; rebuilding the gauge on every entry bounds that to
+one call (one snapshot chunk in a scattering run).  The state itself stays
+exact: at cutoff 0 it matches the dense propagator.
+
+`EvolutionTrace.norms` is the norm the run implies, not a measured one: the
+entry norm times, per applied gate, the kept weight over the weight of its
+theta before the gate.  Under order-2 (unitary) stages it follows the state
+as truncation removes weight; under order-3 stages it holds to first order
+in dt.  `norm` of the returned state is exact.
 
 Vacuum skip: a bond whose term annihilates |00> (`TrotterGates.vacuum_bonds`;
 in rwa mode every bond, in full coupling all but the two at j0) has gates
@@ -40,9 +64,9 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, NumericError
 from .model import (ModelParams, TrotterGates, hamiltonian_mpo,
                     parity_expectation, parity_factors)
-from .mps import (MPS, _mpo_transfer, _qr_step, _rq_step, _transfer,
-                  canonicalize, mpo_expectation, normalize, product_state)
-from .tensors import split_matrix, truncation_rank
+from .mps import (MPS, _mpo_transfer, _transfer, canonicalize,
+                  mpo_expectation, normalize, product_state)
+from .tensors import split_matrix, svd, truncation_rank, truncation_ranks
 
 # Warn once a run has truncated away more than this much squared weight.
 TRUNCATION_BUDGET = 0.05
@@ -114,17 +138,7 @@ def energy(state: MPS, ham) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gate sweeps
-
-def _move_center(sites, center, target):
-    while center < target:
-        _qr_step(sites, center)
-        center += 1
-    while center > target:
-        _rq_step(sites, center)
-        center -= 1
-    return center
-
+# Trotter stages in Hastings form
 
 def _near_vacuum(a) -> bool:
     """True for a bond-1 site whose non-vacuum weight is at most
@@ -137,46 +151,105 @@ def _near_vacuum(a) -> bool:
     return bool(np.vdot(rest, rest).real <= VACUUM_RTOL * abs(v[0]) ** 2)
 
 
-def _apply_bond_gate(sites, x, gate, max_rank, cutoff, to_right):
-    """Gate matrix into bond (x, x+1); center must be at x or x+1, ends up
-    at x+1 (to_right) or x (not).  Returns the discarded squared weight."""
-    a, b = sites[x], sites[x + 1]
-    al, dl, k = a.shape
-    _, dr, ar = b.shape
-    th = (a.reshape(al * dl, k) @ b.reshape(k, dr * ar)).reshape(al, dl * dr, ar)
-    th = (gate @ th).reshape(al * dl, dr * ar)         # batched over al
-    u, s, vh, discarded = split_matrix(th, max_rank, cutoff)
-    if to_right:
-        sites[x] = u.reshape(al, dl, -1)
-        sites[x + 1] = (s[:, None] * vh).reshape(-1, dr, ar)
-    else:
-        sites[x] = (u * s).reshape(al, dl, -1)
-        sites[x + 1] = vh.reshape(-1, dr, ar)
-    return discarded
+def _hastings_form(state: MPS):
+    """``(sites, lams)``, exact: every site but the first right-canonical,
+    ``lams[x]`` the singular values of the bond left of site x.
+
+    The center goes to the last site, and one right-to-left sweep of
+    `split_matrix` (which rejects non-finite entries) peels off the right
+    sites and their bond values.  Site 0 keeps the norm; ``lams[0]`` is 1.
+    """
+    sites = list(canonicalize(state, state.L - 1).sites)
+    lams = [np.ones(1)] * state.L
+    for x in range(state.L - 1, 0, -1):
+        l, d, r = sites[x].shape
+        m = sites[x].reshape(l, d * r)
+        u, lams[x], vh, _ = split_matrix(m, min(m.shape), 0.0)
+        sites[x] = vh.reshape(-1, d, r)
+        pl, pd, _ = sites[x - 1].shape
+        sites[x - 1] = (sites[x - 1].reshape(pl * pd, l)
+                        @ (u * lams[x])).reshape(pl, pd, -1)
+    return sites, lams
 
 
-def _sweep_stage(sites, center, stage, vacuum_bonds, max_rank, cutoff):
-    """One Trotter stage over its bond sublattice; direction picked so the
-    center travels with the gates.  A gate on a `vacuum_bonds` bond whose
-    two sites are both near the vacuum (`_near_vacuum`) acts as the
-    identity and is skipped; the center then stays put.  Returns
-    ``(center, accumulated weight, gates applied, gates skipped)``."""
-    active = [x for x, g in enumerate(stage.gates) if g is not None]
-    if not active:
-        return center, 0.0, 0, 0
-    lost = 1.0
-    skipped = 0
-    to_right = abs(center - active[0]) <= abs(center - active[-1])
-    for x in (active if to_right else reversed(active)):
-        if (x in vacuum_bonds and _near_vacuum(sites[x])
-                and _near_vacuum(sites[x + 1])):
-            skipped += 1
-            continue
-        center = _move_center(sites, center, x if to_right else x + 1)
-        lost *= 1.0 - _apply_bond_gate(sites, x, stage.gates[x], max_rank,
-                                       cutoff, to_right)
-        center = x + 1 if to_right else x
-    return center, 1.0 - lost, len(active) - skipped, skipped
+def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
+    """Gates of one stage on the disjoint ``bonds``, all at once.
+
+    Bonds whose sites share their shapes form ``m = gate (B_x B_x+1)`` in
+    one batched matmul, and the left bond values weight its rows into
+    theta; one SVD launch then splits every theta of one shape.  One `truncation_ranks`
+    call over the stage's singular values (zero-padded to a common length,
+    which changes no rank) picks the kept ranks; per bond, the right site
+    becomes the kept rows of ``vh`` and the left site ``m vh^H``, so no bond
+    value is ever inverted.  ``vac`` (per site, `_near_vacuum`) is kept
+    current.  Returns ``(kept, ratio)``: the products over bonds of the kept
+    weight fraction, and of the kept weight over the weight of theta before
+    its gate.
+    """
+    groups: dict = {}
+    for x in bonds:
+        a, b = sites[x], sites[x + 1]
+        groups.setdefault((a.shape[0], a.shape[1], b.shape[1], b.shape[2]),
+                          []).append(x)
+    by_shape: dict = {}
+    for (al, dl, dr, ar), xs in groups.items():
+        # np.array stacks equal-shape arrays with less overhead than np.stack
+        bb = np.array([sites[x].reshape(al * dl, -1)
+                       @ sites[x + 1].reshape(-1, dr * ar) for x in xs])
+        bb = bb.reshape(len(xs), al, dl * dr, ar)
+        m = np.array([gates[x] for x in xs])[:, None] @ bb
+        # theta's row weights: the left bond value of each row
+        w = np.repeat(np.array([lams[x] for x in xs]), dl, axis=1)
+        bb = bb.reshape(len(xs), al * dl, dr * ar)
+        before = np.einsum("ij,ijk->i", w * w, bb.real ** 2 + bb.imag ** 2)
+        by_shape.setdefault((al * dl, dr * ar), []).append(
+            ([(x, (al, dl, dr, ar)) for x in xs], m.reshape(bb.shape), w,
+             before))
+    splits, before = [], []
+    for parts in by_shape.values():
+        members, ms, ws, befores = zip(*parts)
+        m = np.concatenate(ms)
+        theta = np.concatenate(ws)[:, :, None] * m
+        if not np.all(np.isfinite(theta)):
+            raise NumericError("input to SVD contains non-finite entries")
+        s, vh = svd(theta)[1:]
+        splits.append((sum(members, []), m, s, vh))
+        before.extend(befores)
+    n = len(bonds)
+    sv = np.zeros((n, max(split[2].shape[1] for split in splits)))
+    i = 0
+    for split in splits:
+        s = split[2]
+        sv[i:i + len(s), :s.shape[1]] = s
+        i += len(s)
+    keep = truncation_ranks(sv, max_rank, cutoff)
+    sq = sv * sv
+    kept_sq = np.sum(np.where(np.arange(sv.shape[1]) < keep[:, None], sq, 0.0),
+                     axis=1)
+    total = np.sum(sq, axis=1)
+    before = np.concatenate(before)
+    kept = np.prod(np.divide(kept_sq, total, out=np.ones(n), where=total > 0))
+    ratio = np.prod(np.divide(kept_sq, before, out=np.ones(n),
+                              where=before > 0))
+    keep = keep.tolist()
+    i = 0
+    for bond_dims, m, s, vh in splits:
+        ks = keep[i:i + len(bond_dims)]
+        i += len(bond_dims)
+        # the new sites are views of these arrays; cut to the largest kept
+        # rank, they hold no discarded vectors alive
+        kmax = max(ks)
+        s = np.ascontiguousarray(s[:, :kmax])
+        vh = np.ascontiguousarray(vh[:, :kmax])
+        left = m @ vh.conj().transpose(0, 2, 1)
+        for j, ((x, (al, dl, dr, ar)), k) in enumerate(zip(bond_dims, ks)):
+            sites[x] = left[j, :, :k].reshape(al, dl, k)
+            sites[x + 1] = vh[j, :k].reshape(k, dr, ar)
+            lams[x + 1] = s[j, :k]
+            # a site of inner bond k > 1 is not near the vacuum
+            vac[x] = k == 1 and _near_vacuum(sites[x])
+            vac[x + 1] = k == 1 and _near_vacuum(sites[x + 1])
+    return float(kept), float(ratio)
 
 
 @dataclass
@@ -184,7 +257,7 @@ class EvolutionTrace:
     """Per-step diagnostics of a TEBD run, with the run's gate totals."""
 
     times: list = field(default_factory=list)
-    norms: list = field(default_factory=list)        # including log_norm factor
+    norms: list = field(default_factory=list)        # gauge estimate, see module
     discarded: list = field(default_factory=list)    # per-step squared weight
     max_bonds: list = field(default_factory=list)
     gates_applied: int = 0
@@ -203,29 +276,34 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
            warn_budget: float = TRUNCATION_BUDGET):
     """Run ``n_steps`` Trotter steps; returns ``(state, trace)``.
 
-    The raw norm decay is the truncation diagnostic and is left in the
-    tensors.
+    The state is returned with its center at site 0.  The raw norm decay is
+    the truncation diagnostic and is left in the tensors.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if list(gates.local_dims) != state.local_dims:
         raise ValueError("gate set and state local dimensions differ")
-    work = canonicalize(state, 0)
-    sites = list(work.sites)
-    center = 0
+    sites, lams = _hastings_form(state)
+    vac = [_near_vacuum(a) for a in sites]
+    scheduled = [[x for x, g in enumerate(stage.gates) if g is not None]
+                 for stage in gates.stages]
+    norm2 = float(np.vdot(sites[0], sites[0]).real)
     trace = EvolutionTrace()
     warned = False
     for step in range(1, n_steps + 1):
         lost = 1.0
-        for stage in gates.stages:
-            center, w, applied, skipped = _sweep_stage(
-                sites, center, stage, gates.vacuum_bonds, max_rank, cutoff)
-            lost *= 1.0 - w
-            trace.gates_applied += applied
-            trace.gates_skipped += skipped
+        for stage, xs in zip(gates.stages, scheduled):
+            run = [x for x in xs if not (x in gates.vacuum_bonds and vac[x]
+                                         and vac[x + 1])]
+            if run:
+                kept, ratio = _run_stage(sites, lams, vac, run, stage.gates,
+                                         max_rank, cutoff)
+                lost *= kept
+                norm2 *= ratio
+            trace.gates_applied += len(run)
+            trace.gates_skipped += len(xs) - len(run)
         trace.times.append(t_offset + step * gates.dt)
-        trace.norms.append(float(np.linalg.norm(sites[center]))
-                           * math.exp(work.log_norm))
+        trace.norms.append(math.sqrt(norm2) * math.exp(state.log_norm))
         trace.discarded.append(1.0 - lost)
         trace.max_bonds.append(max((a.shape[2] for a in sites[:-1]),
                                    default=1))
@@ -235,7 +313,7 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
                 f"exceeds the budget {warn_budget:.0e}; raise max_rank",
                 stacklevel=2)
             warned = True
-    return MPS(sites, ortho_center=center, log_norm=work.log_norm), trace
+    return canonicalize(MPS(sites, log_norm=state.log_norm), 0), trace
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError
-from .mps import (MPO, MPS, expectation_local, product_expectation,
-                  site_expectations, wavepacket_mpo)
+from .mps import (MPO, MPS, product_expectation, site_expectations,
+                  wavepacket_mpo)
 
 
 @dataclass(frozen=True)
@@ -307,6 +307,6 @@ def parity_expectation(state: MPS, params: ModelParams) -> float:
 
 def total_excitations(state: MPS, params: ModelParams) -> float:
     """<N_exc> = sum_x <n_x> + <n_sc>; conserved in rwa mode only."""
-    vals = site_expectations(state, photon_number_ops(params)).real
-    sc = expectation_local(state, scatterer_number(params), params.j0).real
-    return float(np.sum(vals) + sc)
+    vals = site_expectations(state, photon_number_ops(params),
+                             [(params.j0, scatterer_number(params))])
+    return float(np.sum(vals.real))

@@ -279,14 +279,26 @@ def expectation_local(state: MPS, op: np.ndarray, site: int) -> complex:
     return complex(num / den)
 
 
-def site_expectations(state: MPS, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Normalized ``<op_x>`` for one operator per site, in one O(L D^3) sweep."""
-    if len(ops) != state.L:
+def site_expectations(state: MPS, ops: Sequence[np.ndarray],
+                      extra: Sequence = ()) -> np.ndarray:
+    """Normalized ``<op_x>`` for one operator per site, in one O(L D^3) sweep.
+
+    ``extra`` holds further ``(site, op)`` pairs read off the same sweep;
+    their values follow the L per-site ones in the returned array.
+    """
+    L = state.L
+    if len(ops) != L:
         raise ShapeError("need exactly one operator per site")
+    extra = list(extra)
+    if any(not 0 <= site < L for site, _ in extra):
+        raise ValueError("extra operator site out of range")
     env = np.ones((1, 1), dtype=complex)
-    out = np.empty(state.L, dtype=complex)
+    out = np.empty(L + len(extra), dtype=complex)
     for x, (a, op) in enumerate(zip(normalize(state, 0).sites, ops)):
         out[x] = np.trace(_transfer(env, a, a, op))
+        for j, (site, op_j) in enumerate(extra):
+            if site == x:
+                out[L + j] = np.trace(_transfer(env, a, a, op_j))
         env = _transfer(env, a, a)
     return out
 

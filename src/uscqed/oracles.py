@@ -88,6 +88,38 @@ def _participation_ratio(density):
     return 1.0 / float(np.sum(rho * rho))
 
 
+def _sector_lowest(hs, k: int):
+    """Lowest ``k`` eigenpairs of a sector block.
+
+    A basis state without off-diagonal entries (the rwa vacuum) is an exact
+    eigenvector on its own, and Lanczos can miss such a decoupled level, so
+    those states are taken as they are and Lanczos runs on the coupled rest.
+    """
+    n = hs.shape[0]
+    diag = hs.diagonal().real
+    off = np.asarray(abs(hs - sp.diags(hs.diagonal())).sum(axis=1)).ravel()
+    loose = np.flatnonzero(off == 0)
+    if loose.size == 0:
+        return spla.eigsh(hs, k=k, which="SA")
+    loose = loose[np.argsort(diag[loose], kind="stable")[:k]]
+    vals = [diag[loose]]
+    vecs = np.zeros((n, loose.size), dtype=complex)
+    vecs[loose, np.arange(loose.size)] = 1.0
+    coupled = np.flatnonzero(off)
+    if coupled.size:
+        hc = hs[coupled][:, coupled]
+        if coupled.size <= k + 1:
+            cvals, cvecs = np.linalg.eigh(hc.toarray())
+        else:
+            cvals, cvecs = spla.eigsh(hc, k=k, which="SA")
+        vals.append(cvals)
+        vecs = np.hstack([vecs, np.zeros((n, cvals.size), dtype=complex)])
+        vecs[coupled, loose.size:] = cvecs
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")[:k]
+    return vals[order], vecs[:, order]
+
+
 def exact_diagonalize(params: ModelParams, k_per_sector: int = 4,
                       return_vectors: bool = False) -> EDResult:
     """Lowest eigenpairs of each parity sector, verified by residuals.
@@ -116,9 +148,8 @@ def exact_diagonalize(params: ModelParams, k_per_sector: int = 4,
     pr_by_sector = {1.0: [], -1.0: []}
     for sector in (1.0, -1.0):
         idx = np.where(parity_diag == sector)[0]
-        hs = h[idx][:, idx]
-        k = min(k_per_sector, hs.shape[0] - 1)
-        vals, vecs = spla.eigsh(hs, k=k, which="SA")
+        vals, vecs = _sector_lowest(h[idx][:, idx],
+                                    min(k_per_sector, idx.size - 1))
         order = np.argsort(vals)
         for j in order:
             full = np.zeros(h.shape[0], dtype=complex)

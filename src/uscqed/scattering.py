@@ -31,9 +31,9 @@ from .model import (ModelParams, band_edges, dispersion, group_velocity,
                     packet_creation_mpo, parity_expectation,
                     photon_annihilators, photon_number_ops, scatterer_number,
                     trotter_gates)
-from .mps import (MPS, apply_mpo, correlator_matrix, expectation_local,
-                  local_matrix_elements, mpo_expectation, norm, normalize,
-                  save_mps, site_expectations)
+from .mps import (MPS, apply_mpo, correlator_matrix, local_matrix_elements,
+                  mpo_expectation, norm, normalize, save_mps,
+                  site_expectations)
 
 # Packet weight tolerated on top of the scatterer cloud before erroring.
 CLOUD_OVERLAP_LIMIT = 1e-3
@@ -298,18 +298,19 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     number_ops = photon_number_ops(params)
     n_sc = scatterer_number(params)
     ham = hamiltonian_mpo(params) if measure_energy else None
-    gs_n_x = site_expectations(gs, number_ops).real
-    gs_pop = float(expectation_local(gs, n_sc, params.j0).real)
+    sc_pop = [(params.j0, n_sc)]      # read off the n_x sweep
+    vals = site_expectations(gs, number_ops, sc_pop).real
+    gs_n_x, gs_pop = vals[:-1], float(vals[-1])
     window = analysis_window(params, exclude_radius)
     k_grid, gs_n_k = momentum_occupations(gs, params, window)
 
     def snap(t, st, discarded):
+        vals = site_expectations(st, number_ops, sc_pop).real
         return Snapshot(
             t=t,
-            n_x=site_expectations(st, number_ops).real,
+            n_x=vals[:-1],
             phi_x=photon_amplitude(gs, st, params),
-            scatterer_population=float(
-                expectation_local(st, n_sc, params.j0).real),
+            scatterer_population=float(vals[-1]),
             parity=parity_expectation(st, params),
             norm=norm(st),
             discarded=discarded,

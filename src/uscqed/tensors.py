@@ -7,11 +7,13 @@ Conventions used throughout the package:
 * SVD truncation uses a cutoff on the relative squared singular-value
   weight, never on absolute values, so it is scale invariant.
 
-`split_matrix` is the kernel every truncating sweep calls, the TEBD gate
-sweep included: the caller reshapes its tensor into a matrix itself, so the
-kernel is one finiteness check, one ``np.linalg.svd`` (gesdd, with a gesvd
-fallback) and `truncation_rank`.  `svd_split` is the general form on axis
-groups, with validated axis lists, for callers that hold a tensor.
+`split_matrix` is the kernel every sequential truncating sweep calls: the
+caller reshapes its tensor into a matrix itself, so the kernel is one
+finiteness check, one ``np.linalg.svd`` (gesdd, with a gesvd fallback) and
+`truncation_rank`.  The TEBD stage kernel splits a stack of equal-shape
+matrices at once through the same `svd` and `truncation_ranks`.
+`svd_split` is the general form on axis groups, with validated axis lists,
+for callers that hold a tensor.
 """
 
 from __future__ import annotations
@@ -53,14 +55,44 @@ def _check_axes(axes, ndim: int, name: str) -> list[int]:
     return norm
 
 
-def _svd(m: np.ndarray):
-    # gesdd (numpy's driver, with less call overhead than scipy's wrapper) is
-    # fast but occasionally fails on ill-conditioned input; fall back to the
-    # slower, more robust gesvd.
+def _gesvd(m: np.ndarray):
+    return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+
+
+def svd(m: np.ndarray):
+    """Thin SVD of a matrix, or of a stack of equal-shape matrices in one
+    launch.
+
+    gesdd (numpy's driver, with less call overhead than scipy's wrapper) is
+    fast but occasionally fails on ill-conditioned input; the slower, more
+    robust gesvd then takes over, matrix by matrix for a stack.
+    """
     try:
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+        if m.ndim == 2:
+            return _gesvd(m)
+        return tuple(np.stack(f) for f in zip(*map(_gesvd, m)))
+
+
+def truncation_ranks(s: np.ndarray, max_rank: int, cutoff: float) -> np.ndarray:
+    """`truncation_rank` of every row of ``s``, shape ``(n, r)``, in a few
+    array operations; for one row the loop of `truncation_rank` is faster."""
+    n, r = s.shape
+    if r == 0:
+        return np.zeros(n, dtype=int)
+    sq = s * s
+    total = np.sum(sq, axis=1)
+    nonzero = np.maximum(np.sum(s > s[:, :1] * 1e-14, axis=1), 1)
+    keep = np.maximum(np.sum(sq > cutoff * total[:, None], axis=1), 1)
+    # grow keep to the first j >= keep that ends its multiplet: s[j] is
+    # split from s[j-1], j reaches the nonzero count, or j == r
+    j = np.arange(1, r + 1)
+    ends = np.ones((n, r), dtype=bool)
+    ends[:, :-1] = s[:, 1:] < s[:, :-1] * (1.0 - DEGENERACY_RTOL)
+    ends |= j >= nonzero[:, None]
+    keep = j[np.argmax(ends & (j >= keep[:, None]), axis=1)]
+    return np.minimum(np.minimum(keep, nonzero), max_rank)
 
 
 def truncation_rank(s: np.ndarray, max_rank: int, cutoff: float) -> int:
@@ -93,7 +125,7 @@ def split_matrix(m: np.ndarray, max_rank: int, cutoff: float):
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if not np.all(np.isfinite(m)):
         raise NumericError("input to SVD contains non-finite entries")
-    u, s, vh = _svd(m)
+    u, s, vh = svd(m)
     keep = truncation_rank(s, max_rank, cutoff)
     total = float(np.sum(s * s))
     discarded = float(np.sum(s[keep:] ** 2)) / total if total > 0.0 else 0.0

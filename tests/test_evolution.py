@@ -1,11 +1,12 @@
 """TEBD evolution and the DMRG ground- and bound-state search."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from denseref import DenseModel, mps_to_vec
+from denseref import DenseModel, mps_to_vec, random_mps
 from uscqed import evolution as ev
 from uscqed import model as M
 from uscqed.errors import ConvergenceError, NumericError
@@ -84,6 +85,17 @@ def test_truncation_accounting_matches_norm_loss():
                                            abs=1e-10)
 
 
+def test_trace_norms_follow_the_state_under_unitary_stages():
+    # order 2: the per-gate kept weight over the weight of theta tracks the
+    # norm the truncations leave
+    p = M.ModelParams(L=8, g=0.8, j0=3, n_max=2)
+    state = random_mps(np.random.default_rng(7), p.L, p.local_dims(), 6)
+    gates = M.trotter_gates(p, dt=0.25, order=2)
+    out, trace = ev.evolve(state, gates, 4, max_rank=6, cutoff=1e-10)
+    assert 1.0 - norm(out) > 1e-3
+    assert trace.norms[-1] == pytest.approx(norm(out), abs=1e-4)
+
+
 def test_truncation_budget_warning():
     p = M.ModelParams(L=6, g=1.2, j0=2, n_max=2)
     gates = M.trotter_gates(p, dt=0.1, order=2)
@@ -128,6 +140,92 @@ def test_gate_counts_cover_every_scheduled_gate():
     assert trace.gates_applied + trace.gates_skipped == steps * scheduled
     assert trace.gates_skipped > 0
     assert trace.gates_applied > 0
+
+
+# L = 5 through the fused 6-dim j0 site; bond cap 4 gives bonds 3, 4, 4, 3,
+# so one stage holds thetas of (3, 12) and (24, 9)
+P_FUSED = M.ModelParams(L=5, g=0.8, j0=2, n_max=2)
+
+
+def test_order3_mixed_bonds_through_fused_site_match_dense_propagator():
+    p = P_FUSED
+    state = random_mps(np.random.default_rng(3), p.L, p.local_dims(), 4)
+    assert state.bond_dims == [3, 4, 4, 3]
+    t, dt = 0.5, 0.005
+    gates = M.trotter_gates(p, dt=dt, order=3)
+    # cutoff 0: rank 9 holds the exact state, leaving pure Trotter error
+    out, trace = ev.evolve(state, gates, round(t / dt), max_rank=9,
+                           cutoff=0.0)
+    want = dense_h(p).evolve(mps_to_vec(state), t)
+    assert np.linalg.norm(mps_to_vec(out) - want) < 5e-6
+    assert trace.gates_skipped == 0
+
+
+def counting_svd(monkeypatch):
+    """Record the shape of every stacked ``np.linalg.svd`` launch."""
+    launches = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3:
+            launches.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return launches
+
+
+def test_one_svd_launch_per_theta_shape_and_stage(monkeypatch):
+    # L = 10, bond cap 4: one stage holds the same theta shape twice
+    p = M.ModelParams(L=10, g=0.8, j0=4, n_max=2)
+    state = random_mps(np.random.default_rng(4), p.L, p.local_dims(), 4)
+    gates = M.trotter_gates(p, dt=0.05, order=3)
+    launches = counting_svd(monkeypatch)
+    batched = False
+    for stage in gates.stages:
+        sites, _ = ev._hastings_form(state)
+        shapes = {(sites[x].shape[0] * sites[x].shape[1],
+                   sites[x + 1].shape[1] * sites[x + 1].shape[2])
+                  for x, g in enumerate(stage.gates) if g is not None}
+        del launches[:]
+        state, trace = ev.evolve(
+            state, dataclasses.replace(gates, stages=(stage,)), 1,
+            max_rank=4, cutoff=0.0)
+        assert len(launches) <= len(shapes)
+        assert {shape[1:] for shape in launches} == shapes
+        assert sum(shape[0] for shape in launches) == trace.gates_applied
+        batched |= any(shape[0] > 1 for shape in launches)
+    assert batched
+
+
+def test_stacked_svd_failure_falls_back_per_matrix(monkeypatch):
+    p = M.ModelParams(L=10, g=0.8, j0=4, n_max=2)
+    state = random_mps(np.random.default_rng(5), p.L, p.local_dims(), 4)
+    gates = M.trotter_gates(p, dt=0.05, order=3)
+    want, _ = ev.evolve(state, gates, 3, max_rank=6)
+    svd = np.linalg.svd
+
+    def fails_on_stacks(a, *args, **kwargs):
+        if a.ndim > 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_on_stacks)
+    got, _ = ev.evolve(state, gates, 3, max_rank=6)
+    assert got.bond_dims == want.bond_dims
+    assert np.linalg.norm(mps_to_vec(got) - mps_to_vec(want)) < 1e-10
+
+
+def test_returned_state_is_right_canonical_after_order3_truncation():
+    p = M.ModelParams(L=8, g=1.0, j0=3, n_max=2)
+    state = random_mps(np.random.default_rng(6), p.L, p.local_dims(), 4)
+    gates = M.trotter_gates(p, dt=0.1, order=3)
+    out, trace = ev.evolve(state, gates, 10, max_rank=4)
+    assert 1e-6 < trace.total_discarded < ev.TRUNCATION_BUDGET
+    assert out.ortho_center == 0
+    for b in out.sites[1:]:
+        m = b.reshape(b.shape[0], -1)
+        assert np.abs(m @ m.conj().T - np.eye(b.shape[0])).max() < 1e-12
 
 
 def test_non_finite_state_raises_numeric_error():

@@ -8,6 +8,7 @@ import pytest
 from denseref import DenseModel
 from uscqed import model as M
 from uscqed import oracles as O
+from uscqed.evolution import bound_states
 from uscqed.errors import (BandEdgeError, ConvergenceError, DegenerateError,
                            ResourceError)
 
@@ -63,6 +64,23 @@ def test_ed_second_odd_level_is_labeled_only_when_localized():
                                k_per_sector=3)
     assert "e3" in deep.bound
     assert deep.bound["e3"] > deep.bound["e1"]
+
+
+def test_ed_keeps_the_decoupled_rwa_vacuum():
+    # the vacuum row of the rwa Hamiltonian is exactly zero: a level that
+    # Lanczos on the even sector missed, reporting 0.784 as the ground state
+    p = M.ModelParams(L=6, g=0.6, j0=2, n_max=1, coupling_mode="rwa")
+    res = O.exact_diagonalize(p, k_per_sector=4)
+    vals, par = dense_levels(p)
+    even = vals[par > 0.5]
+    odd = vals[par < -0.5]
+    assert np.allclose(res.energies[res.parities > 0], even[:4], atol=1e-10)
+    assert np.allclose(res.energies[res.parities < 0], odd[:4], atol=1e-10)
+    assert res.residual <= 1e-10
+    assert res.bound["gs"] == pytest.approx(0.0, abs=1e-10)
+    assert res.bound["e2"] == pytest.approx(even[1], abs=1e-10)
+    bs = bound_states(p, max_rank=8)
+    assert bs.energies[0] == pytest.approx(res.bound["gs"], abs=1e-10)
 
 
 def test_ed_refuses_oversized_hilbert_space():

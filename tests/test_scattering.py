@@ -9,7 +9,9 @@ import pytest
 from uscqed import model as M
 from uscqed import scattering as sc
 from uscqed.errors import DependencyError
-from uscqed.mps import apply_mpo, normalize, product_state
+from uscqed.evolution import evolve
+from uscqed.mps import (apply_mpo, expectation_local, normalize, product_state,
+                        site_expectations)
 from uscqed.oracles import rwa_single_excitation_scattering
 
 
@@ -220,6 +222,25 @@ def test_nk_series_supplies_the_initial_and_final_occupations(monkeypatch):
     assert np.array_equal(series.n_k_final, plain.n_k_final)
     assert np.array_equal(series.snapshots[0].n_k, series.n_k_initial)
     assert np.array_equal(series.snapshots[-1].n_k, series.n_k_final)
+
+
+def test_scatterer_population_comes_off_the_density_sweep():
+    # a truncated full-coupling state: the population read off the n_x
+    # sweep equals the one expectation_local reads at the center
+    p = M.ModelParams(L=10, g=0.9, j0=5, n_max=2)
+    state = product_state(p.local_dims(), [1] + [0] * (p.L - 1))
+    state, trace = evolve(state, M.trotter_gates(p, dt=0.25, order=3), 8,
+                          max_rank=4, cutoff=1e-10)
+    assert trace.total_discarded > 1e-8
+    n_sc = M.scatterer_number(p)
+    number_ops = M.photon_number_ops(p)
+    got = site_expectations(state, number_ops, [(p.j0, n_sc)])
+    assert got[-1] == pytest.approx(expectation_local(state, n_sc, p.j0),
+                                    abs=1e-12)
+    np.testing.assert_allclose(got[:-1], site_expectations(state, number_ops),
+                               atol=1e-15)
+    with pytest.raises(ValueError, match="out of range"):
+        site_expectations(state, number_ops, [(p.L, n_sc)])
 
 
 def test_run_scattering_rejects_bad_time():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uscqed.errors import NumericError
-from uscqed.tensors import split_matrix, svd_split, truncation_rank
+from uscqed.tensors import (split_matrix, svd_split, truncation_rank,
+                            truncation_ranks)
 
 
 def rand_tensor(rng, shape):
@@ -131,3 +132,17 @@ class TestSvdSplit:
         assert np.all(np.diff(res.singular_values) <= 1e-14)
         rel_err2 = (np.linalg.norm(t - reconstruct(res)) / np.linalg.norm(t)) ** 2
         assert rel_err2 == pytest.approx(res.discarded_weight, abs=1e-10)
+
+
+@given(rows=st.lists(st.lists(st.sampled_from([0.0, 1e-15, 1e-6, 0.3, 0.5,
+                                               0.5 - 1e-13, 1.0]),
+                              min_size=6, max_size=6),
+                     min_size=1, max_size=5),
+       max_rank=st.integers(1, 7),
+       cutoff=st.sampled_from([0.0, 1e-12, 1e-3, 0.1, 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_truncation_ranks_match_the_loop_rule(rows, max_rank, cutoff):
+    s = -np.sort(-np.array(rows), axis=1)
+    want = [truncation_rank(row, max_rank, cutoff) for row in s]
+    assert truncation_ranks(s, max_rank, cutoff).tolist() == want
+
