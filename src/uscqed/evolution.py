@@ -129,7 +129,7 @@ def vacuum_state(params: ModelParams) -> MPS:
 
 def energy(state: MPS, ham) -> float:
     """Rayleigh quotient <H>/<1|1>; rejects a significant imaginary residue."""
-    val = mpo_expectation(state, ham)   # already normalized, log_norm cancels
+    val = mpo_expectation(state, ham)
     if not (np.isfinite(val.real) and np.isfinite(val.imag)):
         raise ValueError("cannot take the energy of a zero or non-finite state")
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
@@ -272,8 +272,7 @@ class EvolutionTrace:
 
 
 def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
-           cutoff: float = 1e-12, t_offset: float = 0.0,
-           warn_budget: float = TRUNCATION_BUDGET):
+           cutoff: float = 1e-12, t_offset: float = 0.0):
     """Run ``n_steps`` Trotter steps; returns ``(state, trace)``.
 
     The state is returned with its center at site 0.  The raw norm decay is
@@ -303,17 +302,17 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
             trace.gates_applied += len(run)
             trace.gates_skipped += len(xs) - len(run)
         trace.times.append(t_offset + step * gates.dt)
-        trace.norms.append(math.sqrt(norm2) * math.exp(state.log_norm))
+        trace.norms.append(math.sqrt(norm2))
         trace.discarded.append(1.0 - lost)
         trace.max_bonds.append(max((a.shape[2] for a in sites[:-1]),
                                    default=1))
-        if not warned and trace.total_discarded > warn_budget:
+        if not warned and trace.total_discarded > TRUNCATION_BUDGET:
             warnings.warn(
                 f"accumulated truncation weight {trace.total_discarded:.3e} "
-                f"exceeds the budget {warn_budget:.0e}; raise max_rank",
+                f"exceeds the budget {TRUNCATION_BUDGET:.0e}; raise max_rank",
                 stacklevel=2)
             warned = True
-    return canonicalize(MPS(sites, log_norm=state.log_norm), 0), trace
+    return canonicalize(MPS(sites), 0), trace
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +629,7 @@ def embed_state(state: MPS, L: int, offset: int, local_dims) -> MPS:
     center = state.ortho_center
     if center is not None:
         center += offset
-    return MPS(sites, ortho_center=center, log_norm=state.log_norm)
+    return MPS(sites, ortho_center=center)
 
 
 def scatterer_window(params: ModelParams, radius: int = WINDOW_RADIUS):

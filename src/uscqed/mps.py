@@ -2,9 +2,7 @@
 
 Site tensors are rank 3 with axes ``(left bond, physical, right bond)``;
 MPO tensors are rank 4 with axes ``(left bond, phys out, phys in, right
-bond)``.  Boundary bonds have extent 1.  A state may carry its overall
-scale in a ``log_norm`` factor instead of its tensors; every function here
-honours it.
+bond)``.  Boundary bonds have extent 1.
 
 All public functions treat states as immutable and return new objects;
 tensors of unchanged sites are shared, not copied.
@@ -25,8 +23,8 @@ import numpy as np
 from .errors import ConfigError, ResourceError, ShapeError
 from .tensors import split_matrix
 
-# Hard ceiling on one intermediate tensor during MPO application (bytes).
-ZIPUP_BYTE_BUDGET = 512 * 2**20
+# Hard ceiling on one product site during MPO application (bytes).
+APPLY_BYTE_BUDGET = 512 * 2**20
 
 ORTHO_NONE = 0xFFFFFFFFFFFFFFFF  # checkpoint sentinel for ortho_center=None
 
@@ -34,10 +32,9 @@ ORTHO_NONE = 0xFFFFFFFFFFFFFFFF  # checkpoint sentinel for ortho_center=None
 class MPS:
     """Open-chain matrix product state."""
 
-    __slots__ = ("sites", "ortho_center", "log_norm")
+    __slots__ = ("sites", "ortho_center")
 
-    def __init__(self, sites: Sequence[np.ndarray], ortho_center=None,
-                 log_norm: float = 0.0):
+    def __init__(self, sites: Sequence[np.ndarray], ortho_center=None):
         sites = [np.asarray(a, dtype=complex) for a in sites]
         if not sites:
             raise ValueError("an MPS needs at least one site")
@@ -54,7 +51,6 @@ class MPS:
             raise ValueError(f"ortho_center {ortho_center} out of range")
         self.sites = sites
         self.ortho_center = ortho_center
-        self.log_norm = float(log_norm)
 
     @property
     def L(self) -> int:
@@ -118,7 +114,7 @@ def product_state(local_dims: Sequence[int], occupations: Sequence[int]) -> MPS:
         a = np.zeros((1, d, 1), dtype=complex)
         a[0, n, 0] = 1.0
         sites.append(a)
-    return MPS(sites, ortho_center=0, log_norm=0.0)
+    return MPS(sites, ortho_center=0)
 
 
 def wavepacket_mpo(phi: np.ndarray, local_dims: Sequence[int],
@@ -213,21 +209,18 @@ def canonicalize(state: MPS, center: int) -> MPS:
         _qr_step(sites, i)
     for i in range(right_from, center, -1):
         _rq_step(sites, i)
-    return MPS(sites, ortho_center=center, log_norm=state.log_norm)
+    return MPS(sites, ortho_center=center)
 
 
 def norm(state: MPS) -> float:
-    """Norm including the log_norm prefactor."""
+    """Norm of the state."""
     if state.ortho_center is not None:
-        raw = np.linalg.norm(state.sites[state.ortho_center])
-    else:
-        raw = math.sqrt(max(overlap(state, state).real, 0.0) *
-                        math.exp(-2.0 * state.log_norm))
-    return raw * math.exp(state.log_norm)
+        return float(np.linalg.norm(state.sites[state.ortho_center]))
+    return math.sqrt(max(overlap(state, state).real, 0.0))
 
 
 def normalize(state: MPS, center: int = None) -> MPS:
-    """Unit-norm copy with log_norm reset to zero."""
+    """Unit-norm copy with its center at ``center``."""
     if center is None:
         center = state.ortho_center if state.ortho_center is not None else 0
     out = canonicalize(state, center)
@@ -236,7 +229,7 @@ def normalize(state: MPS, center: int = None) -> MPS:
     if raw == 0.0:
         raise ValueError("cannot normalize a zero state")
     sites[center] = sites[center] / raw
-    return MPS(sites, ortho_center=center, log_norm=0.0)
+    return MPS(sites, ortho_center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +247,7 @@ def _transfer(env, bra_site, ket_site, op=None):
 
 
 def overlap(a: MPS, b: MPS) -> complex:
-    """<a|b> including both accumulated log_norm factors."""
+    """<a|b>."""
     if a.L != b.L:
         raise ShapeError("states have different lengths")
     if a.local_dims != b.local_dims:
@@ -262,7 +255,7 @@ def overlap(a: MPS, b: MPS) -> complex:
     env = np.ones((1, 1), dtype=complex)
     for sa, sb in zip(a.sites, b.sites):
         env = _transfer(env, sa, sb)
-    return complex(env[0, 0]) * math.exp(a.log_norm + b.log_norm)
+    return complex(env[0, 0])
 
 
 def expectation_local(state: MPS, op: np.ndarray, site: int) -> complex:
@@ -310,10 +303,7 @@ def product_expectation(state: MPS, ops: Sequence[np.ndarray]) -> complex:
     env = np.ones((1, 1), dtype=complex)
     for a, op in zip(state.sites, ops):
         env = _transfer(env, a, a, op)
-    c = state.ortho_center     # <psi|psi> without the log_norm factor
-    den = (np.vdot(state.sites[c], state.sites[c]).real if c is not None
-           else overlap(state, state).real * math.exp(-2.0 * state.log_norm))
-    return complex(env[0, 0] / den)
+    return complex(env[0, 0] / norm(state) ** 2)
 
 
 def correlator_matrix(state: MPS, a_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -334,7 +324,7 @@ def correlator_matrix(state: MPS, a_ops: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def local_matrix_elements(bra: MPS, ket: MPS, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Unnormalized ``<bra| op_x |ket>`` for each site x, including log_norms."""
+    """Unnormalized ``<bra| op_x |ket>`` for each site x."""
     L = bra.L
     if ket.L != L or bra.local_dims != ket.local_dims:
         raise ShapeError("bra and ket are incompatible")
@@ -342,11 +332,10 @@ def local_matrix_elements(bra: MPS, ket: MPS, ops: Sequence[np.ndarray]) -> np.n
     for i in range(L - 1):
         lefts.append(_transfer(lefts[-1], bra.sites[i], ket.sites[i]))
     right = np.ones((1, 1), dtype=complex)
-    scale = math.exp(bra.log_norm + ket.log_norm)
     out = np.empty(L, dtype=complex)
     for i in range(L - 1, -1, -1):
         mid = _transfer(lefts[i], bra.sites[i], ket.sites[i], ops[i])
-        out[i] = np.tensordot(mid, right, axes=((0, 1), (0, 1))) * scale
+        out[i] = np.tensordot(mid, right, axes=((0, 1), (0, 1)))
         # a right environment is a left one of the mirrored sites
         right = _transfer(right, bra.sites[i].transpose(2, 1, 0),
                           ket.sites[i].transpose(2, 1, 0))
@@ -354,41 +343,7 @@ def local_matrix_elements(bra: MPS, ket: MPS, ops: Sequence[np.ndarray]) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# arithmetic and compression
-
-def add(a: MPS, b: MPS, coeff_a: complex = 1.0, coeff_b: complex = 1.0) -> MPS:
-    """Direct-sum superposition ``coeff_a |a> + coeff_b |b>``.
-
-    The log_norm prefactors are folded into the first tensor, so they should
-    be moderate (normalized inputs are the intended use).
-    """
-    if a.local_dims != b.local_dims:
-        raise ShapeError("cannot add states with different local dimensions")
-    L = a.L
-    ca = coeff_a * math.exp(a.log_norm)
-    cb = coeff_b * math.exp(b.log_norm)
-    if L == 1:
-        return MPS([ca * a.sites[0] + cb * b.sites[0]], ortho_center=0)
-    sites = []
-    for i in range(L):
-        ta, tb = a.sites[i], b.sites[i]
-        la, d, ra = ta.shape
-        lb, _, rb = tb.shape
-        if i == 0:
-            w = np.zeros((1, d, ra + rb), dtype=complex)
-            w[:, :, :ra] = ca * ta
-            w[:, :, ra:] = cb * tb
-        elif i == L - 1:
-            w = np.zeros((la + lb, d, 1), dtype=complex)
-            w[:la] = ta
-            w[la:] = tb
-        else:
-            w = np.zeros((la + lb, d, ra + rb), dtype=complex)
-            w[:la, :, :ra] = ta
-            w[la:, :, ra:] = tb
-        sites.append(w)
-    return MPS(sites, ortho_center=None, log_norm=0.0)
-
+# compression and MPO application
 
 def compress(state: MPS, max_rank: int, cutoff: float):
     """Truncate every bond to ``max_rank`` under the relative cutoff.
@@ -405,7 +360,7 @@ def compress(state: MPS, max_rank: int, cutoff: float):
         kept *= 1.0 - w
         sites[i] = vh.reshape(-1, d, r)
         sites[i - 1] = np.tensordot(sites[i - 1], u * sv, axes=(2, 0))
-    return MPS(sites, ortho_center=0, log_norm=state.log_norm), 1.0 - kept
+    return MPS(sites, ortho_center=0), 1.0 - kept
 
 
 def _mpo_transfer(env, site, w):
@@ -426,93 +381,30 @@ def mpo_expectation(state: MPS, op: MPO) -> complex:
     env = np.ones((1, 1, 1), dtype=complex)    # (bra, mpo, ket)
     for a, w in zip(state.sites, op.sites):
         env = _mpo_transfer(env, a, w)
-    c = state.ortho_center     # <psi|psi> without the log_norm factor
-    den = (np.vdot(state.sites[c], state.sites[c]).real if c is not None
-           else overlap(state, state).real * math.exp(-2.0 * state.log_norm))
-    return complex(env[0, 0, 0] / den)
-
-
-def _zipup(state: MPS, op: MPO, max_rank: int, cutoff: float):
-    """Left-to-right zip-up application with per-bond truncation."""
-    L = state.L
-    m = np.ones((1, 1, 1), dtype=complex)      # (new left, mpo left, state left)
-    sites = []
-    kept = 1.0
-    for i in range(L):
-        a, w = state.sites[i], op.sites[i]
-        nl = m.shape[0]
-        need = nl * w.shape[1] * w.shape[3] * a.shape[2] * 16
-        if need > ZIPUP_BYTE_BUDGET:
-            raise ResourceError(
-                f"MPO application explodes at bond {i}: "
-                f"intermediate tensor of {need} bytes exceeds the budget")
-        t = np.tensordot(m, a, axes=(2, 0))              # nl wl d ar
-        t = np.tensordot(t, w, axes=((1, 2), (0, 2)))    # nl ar o wr
-        t = t.transpose(0, 2, 3, 1)                      # nl o wr ar
-        if i == L - 1:
-            sites.append(t.reshape(nl, t.shape[1], 1))
-            break
-        sh = t.shape
-        u, sv, vh, wgt = split_matrix(t.reshape(sh[0] * sh[1], sh[2] * sh[3]),
-                                      max_rank, cutoff)
-        kept *= 1.0 - wgt
-        sites.append(u.reshape(sh[0], sh[1], -1))
-        m = (sv[:, None] * vh).reshape(-1, sh[2], sh[3])
-    return MPS(sites, ortho_center=L - 1, log_norm=state.log_norm), 1.0 - kept
-
-
-def _fit_sweep(fit_sites, state: MPS, op: MPO):
-    """One two-way variational sweep maximizing overlap with ``O|state>``.
-
-    ``fit_sites`` must enter left-canonicalized with the center at the last
-    site; it leaves in the same gauge.
-    """
-    L = state.L
-    lefts = [np.ones((1, 1, 1), dtype=complex)]  # (fit, mpo, state)
-    for i in range(L - 1):
-        t = np.tensordot(lefts[-1], state.sites[i], axes=(2, 0))   # f wl d ar
-        t = np.tensordot(t, op.sites[i], axes=((1, 2), (0, 2)))    # f ar o wr
-        env = np.tensordot(fit_sites[i].conj(), t, axes=((0, 1), (0, 2)))
-        lefts.append(env.transpose(0, 2, 1))                       # fr wr ar
-    right = np.ones((1, 1, 1), dtype=complex)                      # (f, w, state)
-    for i in range(L - 1, -1, -1):
-        t = np.tensordot(state.sites[i], right, axes=(2, 2))       # al d fr wr
-        t = np.tensordot(op.sites[i], t, axes=((2, 3), (1, 3)))    # wl o al fr
-        b = np.tensordot(lefts[i], t, axes=((1, 2), (0, 2)))       # fl o fr
-        if i > 0:
-            # orthonormal rows of b, from the QR of its conjugate transpose
-            l, d, r = b.shape
-            q, _ = np.linalg.qr(b.reshape(l, d * r).conj().T)
-            fit_sites[i] = q.conj().T.reshape(-1, d, r)
-            right = np.tensordot(t, fit_sites[i].conj(),
-                                 axes=((1, 3), (1, 2))).transpose(2, 0, 1)
-        else:
-            fit_sites[i] = b
-    # sweep back to restore the left-canonical gauge with center at L-1
-    for i in range(L - 1):
-        _qr_step(fit_sites, i)
+    return complex(env[0, 0, 0] / norm(state) ** 2)
 
 
 def apply_mpo(state: MPS, op: MPO, max_rank: int, cutoff: float):
-    """Apply an MPO with zip-up truncation; returns ``(state, truncation_error)``.
+    """Apply an MPO exactly, then `compress`; returns ``(state, truncation_error)``.
 
-    A variational fitting sweep polishes the result when the zip-up pass
-    truncated more than 1e-8 of the weight; the reported error is the
-    accumulated discarded weight of the truncating passes (an upper bound
-    after polishing).
+    Each product site ``W A`` carries the bonds ``(al wl, ar wr)``; one
+    compression sweep truncates them, so the reported error is the squared
+    weight lost against the exact product (Schollwoeck, Ann. Phys. 326, 96
+    (2011), sec. 4.5).
     """
     if op.local_dims != state.local_dims:
         raise ShapeError("operator and state local dimensions differ")
-    # zip up with some intermediate headroom, then compress to the target rank
-    mid_rank = max_rank + max(4, max_rank // 2)
-    out, err1 = _zipup(state, op, mid_rank, cutoff)
-    out, err2 = compress(out, max_rank, cutoff)
-    err = 1.0 - (1.0 - err1) * (1.0 - err2)
-    if err > 1e-8:
-        sites = list(canonicalize(out, out.L - 1).sites)
-        _fit_sweep(sites, state, op)
-        out = MPS(sites, ortho_center=out.L - 1, log_norm=state.log_norm)
-    return canonicalize(out, 0), err
+    sites = []
+    for i, (a, w) in enumerate(zip(state.sites, op.sites)):
+        (al, d, ar), wl, wr = a.shape, w.shape[0], w.shape[3]
+        need = al * wl * d * ar * wr * 16
+        if need > APPLY_BYTE_BUDGET:
+            raise ResourceError(
+                f"MPO application explodes at bond {i}: "
+                f"product site of {need} bytes exceeds the budget")
+        t = np.tensordot(w, a, axes=(2, 1))              # wl o wr al ar
+        sites.append(t.transpose(3, 0, 1, 4, 2).reshape(al * wl, d, ar * wr))
+    return compress(MPS(sites), max_rank, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +414,10 @@ CHECKPOINT_MAGIC = b"MPS1"
 
 
 def save_mps(state: MPS, path) -> None:
-    """Binary checkpoint: magic, L, per-site header+data, log_norm, center."""
+    """Binary checkpoint: magic, L, per-site header+data, scale, center.
+
+    The scale slot, a log factor on the state, is always written as 0.0.
+    """
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         np.array([state.L], dtype="<u8").tofile(f)
@@ -530,26 +425,36 @@ def save_mps(state: MPS, path) -> None:
             l, d, r = a.shape
             np.array([d, l, r], dtype="<u8").tofile(f)
             np.ascontiguousarray(a).astype("<c16", copy=False).tofile(f)
-        np.array([state.log_norm], dtype="<f8").tofile(f)
+        np.array([0.0], dtype="<f8").tofile(f)
         oc = ORTHO_NONE if state.ortho_center is None else state.ortho_center
         np.array([oc], dtype="<u8").tofile(f)
 
 
 def load_mps(path) -> MPS:
-    """Read a checkpoint written by :func:`save_mps` (bit-exact round trip)."""
+    """Read a checkpoint written by :func:`save_mps` (bit-exact round trip).
+
+    A non-zero scale slot is multiplied into the center site (site 0 when
+    there is no center), so every checkpoint loads as the vector it holds.
+    """
     with open(path, "rb") as f:
+        def read(dtype, count):
+            data = np.fromfile(f, dtype=dtype, count=count)
+            if data.size != count:
+                raise ConfigError(f"{path}: truncated checkpoint")
+            return data
+
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: not an MPS checkpoint (magic {magic!r})")
-        (L,) = np.fromfile(f, dtype="<u8", count=1)
+        (L,) = read("<u8", 1)
         sites = []
         for _ in range(int(L)):
-            d, l, r = (int(v) for v in np.fromfile(f, dtype="<u8", count=3))
-            data = np.fromfile(f, dtype="<c16", count=l * d * r)
-            if data.size != l * d * r:
-                raise ConfigError(f"{path}: truncated checkpoint")
-            sites.append(data.astype(complex).reshape(l, d, r))
-        (log_norm,) = np.fromfile(f, dtype="<f8", count=1)
-        (oc,) = np.fromfile(f, dtype="<u8", count=1)
+            d, l, r = (int(v) for v in read("<u8", 3))
+            sites.append(read("<c16", l * d * r).astype(complex).reshape(l, d, r))
+        (scale,) = read("<f8", 1)
+        (oc,) = read("<u8", 1)
     center = None if int(oc) == ORTHO_NONE else int(oc)
-    return MPS(sites, ortho_center=center, log_norm=float(log_norm))
+    if scale:
+        c = 0 if center is None else center
+        sites[c] = sites[c] * math.exp(scale)
+    return MPS(sites, ortho_center=center)

@@ -552,6 +552,43 @@ def _density_at(k: np.ndarray, n: np.ndarray, k_query: float) -> float:
     return float(np.interp(k_query, k[side], n[side]))
 
 
+def _density_ratios(result: ScatteringResult, gap: float):
+    """Density-ratio bookkeeping per forward bin of the incoming packet.
+
+    Both occupations are cloud-subtracted.  Returns ``(omega_in, solid,
+    r_back, p_conv)``: ``solid`` marks bins whose incoming density ``dn``
+    is at least 1% of its peak; on them ``r_back`` is the outgoing density
+    at ``-k`` over ``dn``, and ``p_conv`` the converted weight
+    ``n_out v_in / (dn v_out)`` at ``omega - gap``, where ``n_out`` counts
+    both signs of ``k_out``.  Both are NaN elsewhere, and ``p_conv`` also
+    where ``omega - gap`` falls outside the band.
+    """
+    p = result.params
+    k = result.k_grid
+    n0 = _cloud_subtracted(result, result.n_k_initial)
+    n1 = _cloud_subtracted(result, result.n_k_final)
+    fwd = k > 0
+    k_in = k[fwd]
+    dens_in = n0[fwd]
+    omega_in = dispersion(k_in, p)
+    solid = dens_in >= 0.01 * np.max(dens_in)
+    lo, hi = band_edges(p)
+    r_back = np.full(k_in.shape, np.nan)
+    p_conv = np.full(k_in.shape, np.nan)
+    for i in np.flatnonzero(solid):
+        dn = dens_in[i]
+        r_back[i] = _density_at(k, n1, -float(k_in[i])) / dn
+        om_out = omega_in[i] - gap
+        if not lo < om_out < hi:
+            continue
+        k_out = float(momentum_from_frequency(om_out, p))
+        n_out = _density_at(k, n1, k_out) + _density_at(k, n1, -k_out)
+        v_in = abs(group_velocity(float(k_in[i]), p))
+        v_out = abs(group_velocity(k_out, p))
+        p_conv[i] = n_out * v_in / (dn * v_out)
+    return omega_in, solid, r_back, p_conv
+
+
 def broadband_inelastic(result: ScatteringResult, gap: float):
     """Conversion probability versus carrier from one broadband run.
 
@@ -564,28 +601,8 @@ def broadband_inelastic(result: ScatteringResult, gap: float):
     """
     if gap is None:
         raise DependencyError("broadband analysis needs the bound-state gap")
-    p = result.params
-    k = result.k_grid
-    n0 = _cloud_subtracted(result, result.n_k_initial)
-    n1 = _cloud_subtracted(result, result.n_k_final)
-    fwd = k > 0
-    k_in = k[fwd]
-    dens_in = n0[fwd]
-    lo, hi = band_edges(p)
-    omega_in = dispersion(k_in, p)
-    floor = 0.01 * np.max(dens_in)
-    out = np.full(k_in.shape, np.nan)
-    for i, (om, dn) in enumerate(zip(omega_in, dens_in)):
-        om_out = om - gap
-        if dn < floor or not lo < om_out < hi:
-            continue
-        k_out = float(momentum_from_frequency(om_out, p))
-        # converted weight goes both ways; count both signs of k_out
-        n_out = _density_at(k, n1, k_out) + _density_at(k, n1, -k_out)
-        v_in = abs(group_velocity(float(momentum_from_frequency(om, p)), p))
-        v_out = abs(group_velocity(k_out, p))
-        out[i] = n_out * v_in / (dn * v_out)
-    return omega_in, out
+    omega_in, _, _, p_ine = _density_ratios(result, gap)
+    return omega_in, p_ine
 
 
 # ---------------------------------------------------------------------------
@@ -621,33 +638,11 @@ def mirror_reflection_spectrum(result: ScatteringResult, gap: float):
     Same density-ratio bookkeeping as ``broadband_inelastic``; the wall
     sends everything back, so wherever the incoming density is solid the
     elastic and converted fractions should sum to one up to analysis error.
-    Returns ``(omega_grid, r_elastic, p_inelastic)``.
+    Returns ``(omega_grid, r_elastic, p_inelastic)``: both NaN where the
+    incoming density is too thin, ``p_inelastic`` 0 where kinematically closed.
     """
     if gap is None:
         raise DependencyError("mirror analysis needs the bound-state gap")
-    p = result.params
-    k = result.k_grid
-    n0 = _cloud_subtracted(result, result.n_k_initial)
-    n1 = _cloud_subtracted(result, result.n_k_final)
-    fwd = k > 0
-    k_in = k[fwd]
-    dens_in = n0[fwd]
-    lo, hi = band_edges(p)
-    omega_in = dispersion(k_in, p)
-    floor = 0.01 * np.max(dens_in)
-    r_el = np.full(k_in.shape, np.nan)
-    p_ine = np.full(k_in.shape, np.nan)
-    for i, (om, dn) in enumerate(zip(omega_in, dens_in)):
-        if dn < floor:
-            continue
-        r_el[i] = _density_at(k, n1, -float(k_in[i])) / dn
-        om_out = om - gap
-        if not lo < om_out < hi:
-            p_ine[i] = 0.0
-            continue
-        k_out = float(momentum_from_frequency(om_out, p))
-        n_out = _density_at(k, n1, k_out) + _density_at(k, n1, -k_out)
-        v_in = abs(group_velocity(float(k_in[i]), p))
-        v_out = abs(group_velocity(k_out, p))
-        p_ine[i] = n_out * v_in / (dn * v_out)
+    omega_in, solid, r_el, p_ine = _density_ratios(result, gap)
+    p_ine[solid & np.isnan(p_ine)] = 0.0
     return omega_in, r_el, p_ine

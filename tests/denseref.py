@@ -19,7 +19,7 @@ def mps_to_vec(state):
     for a in state.sites:
         v = np.tensordot(v, a, axes=(1, 0))          # flat d r
         v = v.reshape(v.shape[0] * v.shape[1], v.shape[2])
-    return v[:, 0] * math.exp(state.log_norm)
+    return v[:, 0]
 
 
 def mpo_to_mat(op):
@@ -31,7 +31,7 @@ def mpo_to_mat(op):
     return m[:, :, 0]
 
 
-def random_mps(rng, L, d, D, log_norm=0.0):
+def random_mps(rng, L, d, D):
     """Random MPS with ragged-safe bond dimensions, loosely normalized."""
     from uscqed.mps import MPS, normalize
     dims = [d] * L if np.isscalar(d) else list(d)
@@ -44,8 +44,7 @@ def random_mps(rng, L, d, D, log_norm=0.0):
     for i in range(L):
         shape = (bonds[i], dims[i], bonds[i + 1])
         sites.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    state = normalize(MPS(sites), 0)
-    return MPS(state.sites, ortho_center=0, log_norm=log_norm)
+    return normalize(MPS(sites), 0)
 
 
 def random_mpo(rng, L, d, Dw):

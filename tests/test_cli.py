@@ -3,6 +3,7 @@ in-process through `cli.main`."""
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -11,6 +12,8 @@ from uscqed import evolution as ev
 from uscqed import sweep as sw
 from uscqed.config import config_hash, parse_config
 from uscqed.errors import ConvergenceError
+from uscqed.model import hamiltonian_mpo
+from uscqed.mps import load_mps, norm
 
 COMMANDS = ["ground-state", "bound-states", "scatter", "sweep", "converge"]
 
@@ -95,6 +98,19 @@ def test_bound_states_command_reports_the_gap_a_sweep_uses(tmp_path):
     with open(table, encoding="utf-8", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert float(row["gap"]) == sw.bound_data(cfg.model)[0]
+
+
+def test_ground_state_checkpoint_holds_the_reported_state(tmp_path, capsys):
+    path = write_config(tmp_path, model={"L": 6, "j0": 3, "g": 0.6},
+                        packet={"sigma": 1.0, "x0": 0.0})
+    assert cli.main(["ground-state", "--config", path, "--checkpoint",
+                     "--quiet"]) == cli.EXIT_OK
+    e_gs = float(re.search(r"E_GS = (\S+)", capsys.readouterr().out)[1])
+    cfg = parse_config(path)
+    gs = load_mps(tmp_path / "out" / f"gs_{config_hash(cfg)}.mps")
+    assert norm(gs) == pytest.approx(1.0, abs=1e-12)
+    assert ev.energy(gs, hamiltonian_mpo(cfg.model)) \
+        == pytest.approx(e_gs, abs=1e-10)
 
 
 def test_unconverged_solve_is_an_invalid_run(tmp_path, capsys, monkeypatch):
