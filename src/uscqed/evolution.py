@@ -14,19 +14,26 @@ that are right-canonical, and the singular values lambda of every bond.
   matmuls, one SVD launch splits all thetas of one shape, and
   `tensors.truncation_ranks` picks every kept rank.  The right site becomes
   the kept rows of vh and the left site (gate B B) vh^H: no lambda is ever
-  inverted, and no center moves.
+  inverted, and no center moves.  The n steps of one call run as one stage
+  sequence: a step's last stage and the next step's first share their
+  bonds (`model.stage_coefficients`), so they run as one seam stage whose
+  gates are the products of theirs.  A call runs 4n+1 stages at order 3
+  and 2n+1 at order 2, not 5n and 3n; the operator product is the same,
+  with fewer truncations.
 - Exit: `canonicalize` rebuilds the returned `MPS` from the B list with its
   center at site 0, so measurements see an exact gauge.
 
 The form is exact up to truncation only while every gate is unitary.  The
 order-3 product formula has complex stage coefficients (`model.P3` = 1/2 +
-i sqrt(3)/6), so its stage gates are not unitary and the B drift off
-right-canonical form: Sum B B^dag = 1 fails by an amount of order dt (about
-0.26 at dt = 0.25 and 0.06 at dt = 0.05 on a random state, set in the first
-step and not growing after it).  Truncation then weighs each bond by
-slightly wrong values; rebuilding the gauge on every entry bounds that to
-one call (one snapshot chunk in a scattering run).  The state itself stays
-exact: at cutoff 0 it matches the dense propagator.
+i sqrt(3)/6), so its odd stages and a call's first and last stage are not
+unitary (the seam's coefficient is a real 1/2), and the B drift off
+right-canonical form: Sum B B^dag = 1 fails by an amount of order dt
+(0.24-0.26 at dt = 0.25 and 0.054-0.058 at dt = 0.05 on a random L = 8
+state after 1 to 16 steps, with or without the seam: set in the first step
+and not growing after it).  Truncation then weighs each bond by slightly
+wrong values; rebuilding the gauge on every entry bounds that to one call
+(one snapshot chunk in a scattering run).  The state itself stays exact:
+at cutoff 0 it matches the dense propagator.
 
 `EvolutionTrace.norms` is the norm the run implies, not a measured one: the
 entry norm times, per applied gate, the kept weight over the weight of its
@@ -256,6 +263,8 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
 class EvolutionTrace:
     """Per-step diagnostics of a TEBD run, with the run's gate totals."""
 
+    # one entry per step; the entry of every step but a call's last already
+    # includes the seam stage into the next step (see `evolve`)
     times: list = field(default_factory=list)
     norms: list = field(default_factory=list)        # gauge estimate, see module
     discarded: list = field(default_factory=list)    # per-step squared weight
@@ -275,6 +284,14 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
            cutoff: float = 1e-12, t_offset: float = 0.0):
     """Run ``n_steps`` Trotter steps; returns ``(state, trace)``.
 
+    The steps run as one stage sequence: the last stage of each step and
+    the first of the next merge into one seam stage (see the module
+    docstring), so an order-3 call runs 4n+1 stages and an order-2 call
+    2n+1.  The trace keeps one entry per step; the entry of step s < n
+    already includes the seam into step s+1, so per-call totals are exact
+    but a step's discarded weight and gate counts cover its stages up to
+    and including the seam that ends it.
+
     The state is returned with its center at site 0.  The raw norm decay is
     the truncation diagnostic and is left in the tensors.
     """
@@ -282,20 +299,32 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
         raise ValueError("n_steps must be >= 0")
     if list(gates.local_dims) != state.local_dims:
         raise ValueError("gate set and state local dimensions differ")
+    stages = [(stage.gates, [x for x, g in enumerate(stage.gates)
+                             if g is not None]) for stage in gates.stages]
+    first, last = stages[0], stages[-1]
+    seam = None
+    if n_steps > 1:
+        if (len(stages) < 2
+                or gates.stages[0].parity != gates.stages[-1].parity):
+            raise ValueError("steps merge only when the first and last "
+                             "stages are two stages of one parity")
+        # a step's last stage and the next step's first act on the same
+        # bonds back to back: one seam stage runs their product
+        seam = (tuple(None if a is None else a @ b
+                      for a, b in zip(first[0], last[0])), first[1])
     sites, lams = _hastings_form(state)
     vac = [_near_vacuum(a) for a in sites]
-    scheduled = [[x for x, g in enumerate(stage.gates) if g is not None]
-                 for stage in gates.stages]
     norm2 = float(np.vdot(sites[0], sites[0]).real)
     trace = EvolutionTrace()
     warned = False
     for step in range(1, n_steps + 1):
         lost = 1.0
-        for stage, xs in zip(gates.stages, scheduled):
+        for stage_gates, xs in (stages[(step > 1):-1]
+                                + [last if step == n_steps else seam]):
             run = [x for x in xs if not (x in gates.vacuum_bonds and vac[x]
                                          and vac[x + 1])]
             if run:
-                kept, ratio = _run_stage(sites, lams, vac, run, stage.gates,
+                kept, ratio = _run_stage(sites, lams, vac, run, stage_gates,
                                          max_rank, cutoff)
                 lost *= kept
                 norm2 *= ratio

@@ -257,6 +257,10 @@ class TrotterGates:
     vacuum_bonds: frozenset = frozenset()
 
 
+# (parity, coefficient) per stage.  The first and last stage of both orders
+# act on the even bonds, and their coefficients add to a real 1/2:
+# `evolution.evolve` relies on that to merge a step's last stage with the
+# next step's first into one unitary seam stage.
 def stage_coefficients(order: int):
     if order == 2:
         return [(0, 0.5), (1, 1.0), (0, 0.5)]

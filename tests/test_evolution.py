@@ -137,7 +137,10 @@ def test_gate_counts_cover_every_scheduled_gate():
     scheduled = sum(g is not None for st in gates.stages for g in st.gates)
     steps = 20
     _, trace = ev.evolve(state, gates, steps, max_rank=8)
-    assert trace.gates_applied + trace.gates_skipped == steps * scheduled
+    # consecutive steps share one seam stage on the first stage's bonds
+    first = sum(g is not None for g in gates.stages[0].gates)
+    assert trace.gates_applied + trace.gates_skipped == 1580
+    assert 1580 == steps * scheduled - (steps - 1) * first
     assert trace.gates_skipped > 0
     assert trace.gates_applied > 0
 
@@ -159,6 +162,35 @@ def test_order3_mixed_bonds_through_fused_site_match_dense_propagator():
     want = dense_h(p).evolve(mps_to_vec(state), t)
     assert np.linalg.norm(mps_to_vec(out) - want) < 5e-6
     assert trace.gates_skipped == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("case", ["fused", "rwa"])
+def test_one_call_matches_chained_single_steps(case, order, n):
+    # the seam stage multiplies the gates of a step's last stage and the
+    # next step's first, so at cutoff 0 only rounding may differ
+    if case == "fused":
+        p = P_FUSED
+        state = random_mps(np.random.default_rng(3), p.L, p.local_dims(), 4)
+        max_rank = 9
+    else:
+        p = M.ModelParams(L=8, g=0.5, j0=3, n_max=1, coupling_mode="rwa")
+        state = photon_at(p, 0)
+        max_rank = 16
+    gates = M.trotter_gates(p, dt=0.05, order=order)
+    out, trace = ev.evolve(state, gates, n, max_rank=max_rank, cutoff=0.0)
+    chained = state
+    for _ in range(n):
+        chained, _ = ev.evolve(chained, gates, 1, max_rank=max_rank,
+                               cutoff=0.0)
+    assert np.linalg.norm(mps_to_vec(out) - mps_to_vec(chained)) <= 1e-12
+    assert len(trace.times) == n
+    scheduled = sum(g is not None for st in gates.stages for g in st.gates)
+    first = sum(g is not None for g in gates.stages[0].gates)
+    assert (trace.gates_applied + trace.gates_skipped
+            == n * scheduled - (n - 1) * first)
+    assert (trace.gates_skipped > 0) == (case == "rwa")
 
 
 def counting_svd(monkeypatch):
@@ -248,6 +280,11 @@ def test_evolve_argument_validation():
     other = product_state([2, 2, 2, 2], [0, 0, 0, 0])
     with pytest.raises(ValueError):
         ev.evolve(other, gates, 1, max_rank=8)
+    # steps merge through a seam only when first and last share their bonds
+    even_odd = dataclasses.replace(gates, stages=gates.stages[:2])
+    ev.evolve(photon_at(p, 0), even_odd, 1, max_rank=8)
+    with pytest.raises(ValueError, match="one parity"):
+        ev.evolve(photon_at(p, 0), even_odd, 2, max_rank=8)
 
 
 def test_energy_matches_dense_quadratic_form():

@@ -191,6 +191,11 @@ def test_stage_coefficients_sum_to_one():
             assert cmath.isclose(total, 1.0, abs_tol=1e-15)
 
 
+def test_first_and_last_stages_share_parity():
+    assert all(M.stage_coefficients(o)[0][0] == M.stage_coefficients(o)[-1][0]
+               for o in (2, 3))
+
+
 def test_order2_stages_are_unitary():
     p = M.ModelParams(L=5, g=0.7, j0=2, n_max=2)
     gates = M.trotter_gates(p, dt=0.3, order=2)
