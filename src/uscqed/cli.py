@@ -56,7 +56,7 @@ def cmd_ground_state(args) -> int:
     from .config import config_hash
     from .evolution import embedded_ground_state
     from .model import parity_expectation, photon_number_ops
-    from .mps import save_mps, site_expectations
+    from .mps import site_expectations
 
     cfg = _load_config(args)
     say = _say(args)
@@ -78,10 +78,6 @@ def cmd_ground_state(args) -> int:
             fh.write("x,n_x\n")
             for x, v in enumerate(n_x):
                 fh.write(f"{x},{v:.17g}\n")
-        say(f"wrote {path}")
-    if args.checkpoint:
-        path = os.path.join(cfg.outputs.directory, f"gs_{chash}.mps")
-        save_mps(gs, path)
         say(f"wrote {path}")
     _write_metadata(cfg, "ground-state",
                     {"E_GS": e, "parity": parity, "wall_time": wall})
@@ -145,11 +141,9 @@ def cmd_scatter(args) -> int:
     say(f"gap = {gap:.6f}; launching packet")
     sidecar = os.path.join(cfg.outputs.directory, f"run_{chash}_000.json") \
         if "json" in cfg.outputs.formats else None
-    checkpoint = os.path.join(cfg.outputs.directory, f"run_{chash}.mps") \
-        if args.checkpoint else None
     row = run_point(cfg, f"{chash[:8]}-000", g, kind, value, gap, gs, e_gs,
-                    sidecar_path=sidecar, checkpoint=checkpoint,
-                    measure_nk=args.nk_series, strict=True)
+                    sidecar_path=sidecar, measure_nk=args.nk_series,
+                    strict=True)
     if "csv" in cfg.outputs.formats:
         path = os.path.join(cfg.outputs.directory, f"scatter_{chash}.csv")
         _ensure_header(path)
@@ -310,8 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ground-state",
                        help="solve the interacting ground state")
     common(p)
-    p.add_argument("--checkpoint", action="store_true",
-                   help="save the state in MPS checkpoint format")
     p.set_defaults(func=cmd_ground_state)
 
     p = sub.add_parser("bound-states",
@@ -321,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="one packet-scattering run")
     common(p)
-    p.add_argument("--checkpoint", action="store_true",
-                   help="save the final state in MPS checkpoint format")
     p.add_argument("--nk-series", action="store_true",
                    help="record momentum occupations at every snapshot")
     p.set_defaults(func=cmd_scatter)

@@ -1,10 +1,10 @@
 """Real-time TEBD, and DMRG for the ground state and the bound states.
 
 Real time: `evolve` runs the Trotter stages at fixed step size and keeps a
-per-step trace of discarded weight and norm, the raw material for accuracy
-monitoring.  It works on raw lists of tensors in Hastings' form (Vidal, PRL
-93, 040502 (2004); Hastings, J. Math. Phys. 50, 095207 (2009)): sites B
-that are right-canonical, and the singular values lambda of every bond.
+trace of the discarded weight, the largest bond and the gate counts.  It
+works on raw lists of tensors in Hastings' form (Vidal, PRL 93, 040502
+(2004); Hastings, J. Math. Phys. 50, 095207 (2009)): sites B that are
+right-canonical, and the singular values lambda of every bond.
 
 - Entry: the gauge is built exactly, once per call.  The center goes to the
   last site and one right-to-left sweep of `tensors.split_matrix` gives B
@@ -35,12 +35,6 @@ wrong values; rebuilding the gauge on every entry bounds that to one call
 (one snapshot chunk in a scattering run).  The state itself stays exact:
 at cutoff 0 it matches the dense propagator.
 
-`EvolutionTrace.norms` is the norm the run implies, not a measured one: the
-entry norm times, per applied gate, the kept weight over the weight of its
-theta before the gate.  Under order-2 (unitary) stages it follows the state
-as truncation removes weight; under order-3 stages it holds to first order
-in dt.  `norm` of the returned state is exact.
-
 Vacuum skip: a bond whose term annihilates |00> (`TrotterGates.vacuum_bonds`;
 in rwa mode every bond, in full coupling all but the two at j0) has gates
 that leave |00> unchanged.  When both of its sites have bond dimension 1
@@ -61,7 +55,6 @@ even and odd minima and the even minimum orthogonal to the ground state.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -189,9 +182,8 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
     which changes no rank) picks the kept ranks; per bond, the right site
     becomes the kept rows of ``vh`` and the left site ``m vh^H``, so no bond
     value is ever inverted.  ``vac`` (per site, `_near_vacuum`) is kept
-    current.  Returns ``(kept, ratio)``: the products over bonds of the kept
-    weight fraction, and of the kept weight over the weight of theta before
-    its gate.
+    current.  Returns ``kept``, the product over bonds of the fraction of
+    theta's weight that the truncation keeps.
     """
     groups: dict = {}
     for x in bonds:
@@ -207,21 +199,18 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
         m = np.array([gates[x] for x in xs])[:, None] @ bb
         # theta's row weights: the left bond value of each row
         w = np.repeat(np.array([lams[x] for x in xs]), dl, axis=1)
-        bb = bb.reshape(len(xs), al * dl, dr * ar)
-        before = np.einsum("ij,ijk->i", w * w, bb.real ** 2 + bb.imag ** 2)
         by_shape.setdefault((al * dl, dr * ar), []).append(
-            ([(x, (al, dl, dr, ar)) for x in xs], m.reshape(bb.shape), w,
-             before))
-    splits, before = [], []
+            ([(x, (al, dl, dr, ar)) for x in xs],
+             m.reshape(len(xs), al * dl, dr * ar), w))
+    splits = []
     for parts in by_shape.values():
-        members, ms, ws, befores = zip(*parts)
+        members, ms, ws = zip(*parts)
         m = np.concatenate(ms)
         theta = np.concatenate(ws)[:, :, None] * m
         if not np.all(np.isfinite(theta)):
             raise NumericError("input to SVD contains non-finite entries")
         s, vh = svd(theta)[1:]
         splits.append((sum(members, []), m, s, vh))
-        before.extend(befores)
     n = len(bonds)
     sv = np.zeros((n, max(split[2].shape[1] for split in splits)))
     i = 0
@@ -234,10 +223,7 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
     kept_sq = np.sum(np.where(np.arange(sv.shape[1]) < keep[:, None], sq, 0.0),
                      axis=1)
     total = np.sum(sq, axis=1)
-    before = np.concatenate(before)
     kept = np.prod(np.divide(kept_sq, total, out=np.ones(n), where=total > 0))
-    ratio = np.prod(np.divide(kept_sq, before, out=np.ones(n),
-                              where=before > 0))
     keep = keep.tolist()
     i = 0
     for bond_dims, m, s, vh in splits:
@@ -256,7 +242,7 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
             # a site of inner bond k > 1 is not near the vacuum
             vac[x] = k == 1 and _near_vacuum(sites[x])
             vac[x + 1] = k == 1 and _near_vacuum(sites[x + 1])
-    return float(kept), float(ratio)
+    return float(kept)
 
 
 @dataclass
@@ -265,8 +251,6 @@ class EvolutionTrace:
 
     # one entry per step; the entry of every step but a call's last already
     # includes the seam stage into the next step (see `evolve`)
-    times: list = field(default_factory=list)
-    norms: list = field(default_factory=list)        # gauge estimate, see module
     discarded: list = field(default_factory=list)    # per-step squared weight
     max_bonds: list = field(default_factory=list)
     gates_applied: int = 0
@@ -281,7 +265,7 @@ class EvolutionTrace:
 
 
 def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
-           cutoff: float = 1e-12, t_offset: float = 0.0):
+           cutoff: float = 1e-12):
     """Run ``n_steps`` Trotter steps; returns ``(state, trace)``.
 
     The steps run as one stage sequence: the last stage of each step and
@@ -292,8 +276,8 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
     but a step's discarded weight and gate counts cover its stages up to
     and including the seam that ends it.
 
-    The state is returned with its center at site 0.  The raw norm decay is
-    the truncation diagnostic and is left in the tensors.
+    The state is returned with its center at site 0; the norm lost to
+    truncation is left in the tensors.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -314,7 +298,6 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
                       for a, b in zip(first[0], last[0])), first[1])
     sites, lams = _hastings_form(state)
     vac = [_near_vacuum(a) for a in sites]
-    norm2 = float(np.vdot(sites[0], sites[0]).real)
     trace = EvolutionTrace()
     warned = False
     for step in range(1, n_steps + 1):
@@ -324,14 +307,10 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
             run = [x for x in xs if not (x in gates.vacuum_bonds and vac[x]
                                          and vac[x + 1])]
             if run:
-                kept, ratio = _run_stage(sites, lams, vac, run, stage_gates,
-                                         max_rank, cutoff)
-                lost *= kept
-                norm2 *= ratio
+                lost *= _run_stage(sites, lams, vac, run, stage_gates,
+                                   max_rank, cutoff)
             trace.gates_applied += len(run)
             trace.gates_skipped += len(xs) - len(run)
-        trace.times.append(t_offset + step * gates.dt)
-        trace.norms.append(math.sqrt(norm2))
         trace.discarded.append(1.0 - lost)
         trace.max_bonds.append(max((a.shape[2] for a in sites[:-1]),
                                    default=1))

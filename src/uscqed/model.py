@@ -242,14 +242,11 @@ P3 = 0.5 + 1j * math.sqrt(3.0) / 6.0
 @dataclass(frozen=True, eq=False)
 class Stage:
     parity: int            # 0: bonds (0,1),(2,3),... ; 1: bonds (1,2),(3,4),...
-    coeff: complex         # fraction of dt exponentiated in this stage
     gates: tuple           # per-bond gate matrices (dl*dr, dl*dr); None if inactive
 
 
 @dataclass(frozen=True, eq=False)
 class TrotterGates:
-    dt: float
-    order: int
     stages: tuple = field(repr=False)
     local_dims: tuple = ()
     # bonds whose term annihilates the two-site vacuum |00>, so that every
@@ -289,10 +286,10 @@ def trotter_gates(params: ModelParams, dt: float,
     for parity, coeff in stage_coefficients(order):
         gates = tuple(gate(x, coeff) if x % 2 == parity else None
                       for x in range(params.L - 1))
-        stages.append(Stage(parity, coeff, gates))
+        stages.append(Stage(parity, gates))
     vacuum = frozenset(x for x, h in enumerate(terms) if not np.any(h[:, 0]))
-    return TrotterGates(dt=dt, order=order, stages=tuple(stages),
-                        local_dims=tuple(dims), vacuum_bonds=vacuum)
+    return TrotterGates(stages=tuple(stages), local_dims=tuple(dims),
+                        vacuum_bonds=vacuum)
 
 
 def _is_special(params: ModelParams, x: int) -> bool:

@@ -20,13 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResourceError, ShapeError
+from .errors import ResourceError, ShapeError
 from .tensors import split_matrix
 
 # Hard ceiling on one product site during MPO application (bytes).
 APPLY_BYTE_BUDGET = 512 * 2**20
-
-ORTHO_NONE = 0xFFFFFFFFFFFFFFFF  # checkpoint sentinel for ortho_center=None
 
 
 class MPS:
@@ -405,56 +403,3 @@ def apply_mpo(state: MPS, op: MPO, max_rank: int, cutoff: float):
         t = np.tensordot(w, a, axes=(2, 1))              # wl o wr al ar
         sites.append(t.transpose(3, 0, 1, 4, 2).reshape(al * wl, d, ar * wr))
     return compress(MPS(sites), max_rank, cutoff)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-CHECKPOINT_MAGIC = b"MPS1"
-
-
-def save_mps(state: MPS, path) -> None:
-    """Binary checkpoint: magic, L, per-site header+data, scale, center.
-
-    The scale slot, a log factor on the state, is always written as 0.0.
-    """
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        np.array([state.L], dtype="<u8").tofile(f)
-        for a in state.sites:
-            l, d, r = a.shape
-            np.array([d, l, r], dtype="<u8").tofile(f)
-            np.ascontiguousarray(a).astype("<c16", copy=False).tofile(f)
-        np.array([0.0], dtype="<f8").tofile(f)
-        oc = ORTHO_NONE if state.ortho_center is None else state.ortho_center
-        np.array([oc], dtype="<u8").tofile(f)
-
-
-def load_mps(path) -> MPS:
-    """Read a checkpoint written by :func:`save_mps` (bit-exact round trip).
-
-    A non-zero scale slot is multiplied into the center site (site 0 when
-    there is no center), so every checkpoint loads as the vector it holds.
-    """
-    with open(path, "rb") as f:
-        def read(dtype, count):
-            data = np.fromfile(f, dtype=dtype, count=count)
-            if data.size != count:
-                raise ConfigError(f"{path}: truncated checkpoint")
-            return data
-
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigError(f"{path}: not an MPS checkpoint (magic {magic!r})")
-        (L,) = read("<u8", 1)
-        sites = []
-        for _ in range(int(L)):
-            d, l, r = (int(v) for v in read("<u8", 3))
-            sites.append(read("<c16", l * d * r).astype(complex).reshape(l, d, r))
-        (scale,) = read("<f8", 1)
-        (oc,) = read("<u8", 1)
-    center = None if int(oc) == ORTHO_NONE else int(oc)
-    if scale:
-        c = 0 if center is None else center
-        sites[c] = sites[c] * math.exp(scale)
-    return MPS(sites, ortho_center=center)

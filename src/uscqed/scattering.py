@@ -32,8 +32,7 @@ from .model import (ModelParams, band_edges, dispersion, group_velocity,
                     photon_annihilators, photon_number_ops, scatterer_number,
                     trotter_gates)
 from .mps import (MPS, apply_mpo, correlator_matrix, local_matrix_elements,
-                  mpo_expectation, norm, normalize, save_mps,
-                  site_expectations)
+                  mpo_expectation, norm, normalize, site_expectations)
 
 # Packet weight tolerated on top of the scatterer cloud before erroring.
 CLOUD_OVERLAP_LIMIT = 1e-3
@@ -273,17 +272,19 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
                    cutoff: float = 1e-10, n_snapshots: int = 40,
                    gs: MPS = None, gs_energy: float = None,
                    exclude_radius: int = 10, measure_energy: bool = False,
-                   measure_nk: bool = False, checkpoint=None,
-                   progress=None) -> ScatteringResult:
+                   measure_nk: bool = False, progress=None) -> ScatteringResult:
     """Propagate one packet and collect everything the analyses need.
 
     The ground state is computed here unless both ``gs`` and ``gs_energy``
     are supplied (pass them when scanning carriers at fixed coupling).  Edge
     contamination is watched on both chain ends for open boundaries but only
     on the far-from-wall end for the mirror geometry, where bouncing off the
-    wall is the point of the experiment.  ``measure_nk`` stores windowed
-    momentum occupations on every snapshot, the first and last serving as
-    the run's initial and final ones; each costs a one-body correlator.
+    wall is the point of the experiment.  The steps run as
+    ``min(n_snapshots, n_steps)`` `evolve` calls whose sizes differ by at
+    most one step, each followed by a snapshot, after the one at t = 0.
+    ``measure_nk`` stores windowed momentum occupations on every snapshot,
+    the first and last serving as the run's initial and final ones; each
+    costs a one-body correlator.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -330,7 +331,7 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
 
     gates = trotter_gates(params, dt, order=order)
     n_steps = max(1, round(t_final / dt))
-    chunk = max(1, n_steps // max(1, n_snapshots))
+    n_chunks = min(max(1, n_snapshots), n_steps)
     snapshots = [snap(0.0, state, 0.0)]
     n_k0 = snapshots[0].n_k if measure_nk else \
         momentum_occupations(state, params, window)[1]
@@ -341,13 +342,13 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     edge_time = None
     kept = 1.0
     done = 0
-    while done < n_steps:
-        m = min(chunk, n_steps - done)
-        state, tr = evolve(state, gates, m, max_rank, cutoff,
-                           t_offset=done * dt)
+    for c in range(1, n_chunks + 1):
+        # n_chunks chunks whose sizes differ by at most one step
+        end = n_steps * c // n_chunks
+        state, tr = evolve(state, gates, end - done, max_rank, cutoff)
         for w in tr.discarded:
             kept *= 1.0 - w
-        done += m
+        done = end
         s = snap(done * dt, state, 1.0 - kept)
         snapshots.append(s)
         ew = max(w - b for w, b in zip(edge_weights(s.n_x), edge_base))
@@ -359,8 +360,6 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
 
     n_k1 = snapshots[-1].n_k if measure_nk else \
         momentum_occupations(state, params, window)[1]
-    if checkpoint is not None:
-        save_mps(state, checkpoint)
     result = ScatteringResult(params=params, spec=spec, info=info,
                               snapshots=snapshots, gs_energy=gs_energy,
                               gs_n_x=gs_n_x, state_final=state, k_grid=k_grid,

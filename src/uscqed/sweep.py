@@ -189,8 +189,8 @@ def _sidecar_payload(row: ResultRow, result, ts, ine, extra) -> dict:
 
 def run_point(config: RunConfig, run_id: str, g: float, kind: str,
               value: float, gap: float, gs, gs_energy: float,
-              sidecar_path: str = None, checkpoint=None,
-              measure_nk: bool = False, strict: bool = False) -> ResultRow:
+              sidecar_path: str = None, measure_nk: bool = False,
+              strict: bool = False) -> ResultRow:
     """One scattering run reduced to a ResultRow.
 
     Exceptions become error rows unless ``strict``; single-run callers set
@@ -205,7 +205,6 @@ def run_point(config: RunConfig, run_id: str, g: float, kind: str,
         result = sc.run_scattering(params, spec, evo.t_final,
                                    gs=gs, gs_energy=gs_energy,
                                    measure_nk=measure_nk,
-                                   checkpoint=checkpoint,
                                    **evo.run_kwargs())
         omega_in = result.info.omega
         k_in = result.info.momentum

@@ -12,8 +12,7 @@ from uscqed import evolution as ev
 from uscqed import sweep as sw
 from uscqed.config import config_hash, parse_config
 from uscqed.errors import ConvergenceError
-from uscqed.model import hamiltonian_mpo
-from uscqed.mps import load_mps, norm
+from uscqed.oracles import exact_diagonalize
 
 COMMANDS = ["ground-state", "bound-states", "scatter", "sweep", "converge"]
 
@@ -64,7 +63,9 @@ def test_unreadable_config_files_are_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [["sweep", "--threads", "2"]]
-                         + [[c, "--seedless"] for c in COMMANDS])
+                         + [[c, "--seedless"] for c in COMMANDS]
+                         + [["ground-state", "--checkpoint"],
+                            ["scatter", "--checkpoint"]])
 def test_removed_flags_are_rejected_by_argparse(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([*args, "--preset", "desk"])
@@ -100,17 +101,16 @@ def test_bound_states_command_reports_the_gap_a_sweep_uses(tmp_path):
     assert float(row["gap"]) == sw.bound_data(cfg.model)[0]
 
 
-def test_ground_state_checkpoint_holds_the_reported_state(tmp_path, capsys):
+def test_ground_state_command_reports_the_exact_energy(tmp_path, capsys):
     path = write_config(tmp_path, model={"L": 6, "j0": 3, "g": 0.6},
                         packet={"sigma": 1.0, "x0": 0.0})
-    assert cli.main(["ground-state", "--config", path, "--checkpoint",
-                     "--quiet"]) == cli.EXIT_OK
+    assert cli.main(["ground-state", "--config", path, "--quiet"]) \
+        == cli.EXIT_OK
     e_gs = float(re.search(r"E_GS = (\S+)", capsys.readouterr().out)[1])
     cfg = parse_config(path)
-    gs = load_mps(tmp_path / "out" / f"gs_{config_hash(cfg)}.mps")
-    assert norm(gs) == pytest.approx(1.0, abs=1e-12)
-    assert ev.energy(gs, hamiltonian_mpo(cfg.model)) \
-        == pytest.approx(e_gs, abs=1e-10)
+    assert (tmp_path / "out" / f"gs_{config_hash(cfg)}.csv").exists()
+    assert e_gs == pytest.approx(exact_diagonalize(cfg.model).bound["gs"],
+                                 abs=1e-6)
 
 
 def test_unconverged_solve_is_an_invalid_run(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import denseref
 from denseref import mps_to_vec, mpo_to_mat, random_mps, random_mpo
 from uscqed import mps as m
-from uscqed.errors import ConfigError, ResourceError, ShapeError
+from uscqed.errors import ResourceError, ShapeError
 
 
 def number_op(d):
@@ -405,65 +405,3 @@ class TestMpoExpectation:
         vec = mps_to_vec(st)
         want = (vec.conj() @ mpo_to_mat(op) @ vec) / (vec.conj() @ vec)
         assert m.mpo_expectation(st, op) == pytest.approx(want, abs=1e-10)
-
-
-class TestCheckpoint:
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(61)
-        st = m.canonicalize(random_mps(rng, 6, [2, 3, 8, 3, 2, 2], 5), 4)
-        path = tmp_path / "state.mps"
-        m.save_mps(st, path)
-        back = m.load_mps(path)
-        assert back.L == st.L
-        assert back.ortho_center == st.ortho_center
-        for a, b in zip(st.sites, back.sites):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
-        # writing again produces identical bytes
-        path2 = tmp_path / "state2.mps"
-        m.save_mps(back, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_none_center_round_trip(self, tmp_path):
-        rng = np.random.default_rng(62)
-        st = raw_mps(rng, [2, 2, 2, 2], 3)
-        path = tmp_path / "s.mps"
-        m.save_mps(st, path)
-        back = m.load_mps(path)
-        assert back.ortho_center is None
-        assert np.array_equal(mps_to_vec(back), mps_to_vec(st))
-
-    @pytest.mark.parametrize("center", [None, 2])
-    def test_stored_scale_is_multiplied_into_the_center(self, tmp_path,
-                                                        center):
-        # checkpoints may hold a log factor in the slot before the center
-        st = raw_mps(np.random.default_rng(63), [2, 3, 2, 2], 3)
-        if center is not None:
-            st = m.canonicalize(st, center)
-        path = tmp_path / "s.mps"
-        m.save_mps(st, path)
-        data = bytearray(path.read_bytes())
-        data[-16:-8] = np.array([-1.7], dtype="<f8").tobytes()
-        path.write_bytes(bytes(data))
-        back = m.load_mps(path)
-        assert back.ortho_center == center
-        np.testing.assert_allclose(mps_to_vec(back),
-                                   math.exp(-1.7) * mps_to_vec(st), rtol=1e-14)
-
-    def test_truncated_checkpoint_is_a_config_error(self, tmp_path):
-        st = random_mps(np.random.default_rng(64), 3, 2, 2)
-        path = tmp_path / "s.mps"
-        m.save_mps(st, path)
-        data = path.read_bytes()
-        cut = tmp_path / "cut.mps"
-        for n in range(len(data)):
-            cut.write_bytes(data[:n])
-            with pytest.raises(ConfigError,
-                               match="truncated|not an MPS checkpoint"):
-                m.load_mps(cut)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.mps"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ConfigError):
-            m.load_mps(path)

@@ -224,6 +224,29 @@ def test_nk_series_supplies_the_initial_and_final_occupations(monkeypatch):
     assert np.array_equal(series.snapshots[-1].n_k, series.n_k_final)
 
 
+def test_snapshots_split_the_steps_into_the_requested_chunks(monkeypatch):
+    # 2 n_snapshots - 1 steps: n_snapshots chunks of one or two steps
+    p = M.ModelParams(L=24, g=0.5, j0=12, n_max=1, coupling_mode="rwa")
+    spec = sc.WavepacketSpec(omega=1.0, sigma=2.0, x0=4.0)
+    n_snapshots, dt = 4, 0.25
+    n_steps = 2 * n_snapshots - 1
+    chunks = []
+    run = sc.evolve
+
+    def counted(state, gates, n, *args, **kwargs):
+        chunks.append(n)
+        return run(state, gates, n, *args, **kwargs)
+
+    monkeypatch.setattr(sc, "evolve", counted)
+    res = sc.run_scattering(p, spec, t_final=n_steps * dt, dt=dt, order=2,
+                            max_rank=4, cutoff=1e-12, n_snapshots=n_snapshots,
+                            gs=vacuum(p), gs_energy=0.0, exclude_radius=2)
+    assert len(res.snapshots) == n_snapshots + 1
+    assert res.snapshots[-1].t == pytest.approx(n_steps * dt)
+    assert sum(chunks) == n_steps
+    assert max(chunks) - min(chunks) <= 1
+
+
 def test_scatterer_population_comes_off_the_density_sweep():
     # a truncated full-coupling state: the population read off the n_x
     # sweep equals the one expectation_local reads at the center
