@@ -62,9 +62,7 @@ def cmd_ground_state(args) -> int:
     say = _say(args)
     t0 = time.perf_counter()
     say(f"solving ground state on L={cfg.model.L} (g={cfg.model.g:g})")
-    e, gs, _ = embedded_ground_state(cfg.model,
-                                     max_rank=cfg.evolution.max_rank,
-                                     cutoff=min(cfg.evolution.cutoff, 1e-12))
+    e, gs, _ = embedded_ground_state(cfg.model)
     n_x = site_expectations(gs, photon_number_ops(cfg.model)).real
     parity = parity_expectation(gs, cfg.model)
     wall = time.perf_counter() - t0
@@ -97,8 +95,7 @@ def cmd_bound_states(args) -> int:
     rows = []
     for g in gs_list:
         t0 = time.perf_counter()
-        bs = window_bound_states(dataclasses.replace(cfg.model, g=g),
-                                 cutoff=min(cfg.evolution.cutoff, 1e-12))
+        bs = window_bound_states(dataclasses.replace(cfg.model, g=g))
         e0, e1, e2 = (float(x) for x in bs.energies)
         rows.append({"g": g, "E_GS": e0, "E1": e1, "E2": e2,
                      "parity_GS": float(bs.parities[0]),
@@ -136,8 +133,7 @@ def cmd_scatter(args) -> int:
     os.makedirs(cfg.outputs.directory, exist_ok=True)
     g, kind, value = _grid(cfg)[0]
     say(f"g={g:g}: solving bound states and ground state")
-    gap, gs, e_gs = bound_data(cfg.model,
-                               cutoff=min(cfg.evolution.cutoff, 1e-12))
+    gap, gs, e_gs = bound_data(cfg.model)
     say(f"gap = {gap:.6f}; launching packet")
     sidecar = os.path.join(cfg.outputs.directory, f"run_{chash}_000.json") \
         if "json" in cfg.outputs.formats else None
@@ -239,7 +235,7 @@ def _oracle_check(which: str, say):
         p = ModelParams(L=7, g=0.5, j0=3, n_max=3)
         say("dense spectrum on 7 sites")
         ed = exact_diagonalize(p)
-        bs = bound_states(p, max_rank=16, cutoff=1e-12)
+        bs = bound_states(p)
         dev = max(abs(float(bs.energies[i]) - float(ed.bound[k]))
                   for i, k in enumerate(("gs", "e1", "e2")))
         return dev < 1e-5, f"max energy deviation {dev:.2e} (tol 1e-5)"

@@ -119,22 +119,17 @@ PRESETS = {
     },
 }
 
-_ALLOWED = {
-    None: {"preset", "model", "packet", "evolution", "sweep", "outputs"},
-    "model": {"L", "g", "j0", "n_max", "J", "Delta", "coupling_mode",
-              "scatterer", "boundary", "mirror_dx"},
-    "packet": {"sigma", "x0", "omega", "k_in", "direction"},
-    "evolution": {"dt", "t_final", "order", "max_rank", "cutoff",
-                  "n_snapshots"},
-    "sweep": {"g", "omega_in", "k_in"},
-    "outputs": {"directory", "formats"},
-}
+# The config sections: each key of a section is a field of its class.
+_SECTIONS = {"model": ModelParams, "packet": WavepacketSpec,
+             "evolution": EvolutionParams, "sweep": SweepGrid,
+             "outputs": OutputSpec}
 
 
-def _check_keys(data: dict, section):
+def _check_keys(data: dict, cls, section):
     prefix = f"{section}." if section else ""
+    allowed = {f.name for f in dataclasses.fields(cls)}
     for key in data:
-        if key not in _ALLOWED[section]:
+        if key not in allowed:
             raise ConfigError(f"unknown key {prefix}{key}")
 
 
@@ -162,7 +157,7 @@ def from_dict(data: dict) -> RunConfig:
     """Validate a plain dict (parsed JSON) into a RunConfig."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(data, None)
+    _check_keys(data, RunConfig, None)
     preset = data.get("preset")
     merged = {}
     if preset is not None:
@@ -179,19 +174,15 @@ def from_dict(data: dict) -> RunConfig:
             for mine, other in (pair, pair[::-1]):
                 if mine in given and other not in given:
                     merged[section].pop(other, None)
-    for section in ("model", "packet", "evolution", "sweep", "outputs"):
+    for section, cls in _SECTIONS.items():
         part = merged.get(section, {})
         if not isinstance(part, dict):
             raise ConfigError(f"{section} must be an object")
-        _check_keys(part, section)
-    model = _build(ModelParams, "model", merged.get("model", {}))
-    packet = _build(WavepacketSpec, "packet", merged.get("packet", {}))
-    evolution = _build(EvolutionParams, "evolution",
-                       merged.get("evolution", {}))
-    sweep = _build(SweepGrid, "sweep", merged.get("sweep", {}))
-    outputs = _build(OutputSpec, "outputs", merged.get("outputs", {}))
-    config = RunConfig(model=model, packet=packet, evolution=evolution,
-                       sweep=sweep, outputs=outputs, preset=preset)
+        _check_keys(part, cls, section)
+    config = RunConfig(**{section: _build(cls, section,
+                                          merged.get(section, {}))
+                          for section, cls in _SECTIONS.items()},
+                       preset=preset)
     _check_carriers(config)
     return config
 

@@ -11,15 +11,15 @@ right-canonical, and the singular values lambda of every bond.
   and lambda; a non-finite state raises `NumericError` there.
 - Stage: the gates of a stage act on disjoint bonds, so they run at once.
   Theta = lambda B B is formed with the gate multiplied in by batched
-  matmuls, one SVD launch splits all thetas of one shape, and
-  `tensors.truncation_ranks` picks every kept rank.  The right site becomes
-  the kept rows of vh and the left site (gate B B) vh^H: no lambda is ever
-  inverted, and no center moves.  The n steps of one call run as one stage
-  sequence: a step's last stage and the next step's first share their
-  bonds (`model.stage_coefficients`), so they run as one seam stage whose
-  gates are the products of theirs.  A call runs 4n+1 stages at order 3
-  and 2n+1 at order 2, not 5n and 3n; the operator product is the same,
-  with fewer truncations.
+  matmuls, one SVD launch splits all thetas of bonds whose sites share
+  their shapes, and `tensors.truncation_ranks` picks every kept rank.  The
+  right site becomes the kept rows of vh and the left site (gate B B)
+  vh^H: no lambda is ever inverted, and no center moves.  The n steps of
+  one call run as one stage sequence: a step's last stage and the next
+  step's first share their bonds (`model.stage_coefficients`), so they run
+  as one seam stage whose gates are the products of theirs.  A call runs
+  4n+1 stages at order 3 and 2n+1 at order 2, not 5n and 3n; the operator
+  product is the same, with fewer truncations.
 - Exit: `canonicalize` rebuilds the returned `MPS` from the B list with its
   center at site 0, so measurements see an exact gauge.
 
@@ -90,6 +90,11 @@ PENALTY = 10.0
 # scatterer, so they are solved on this many sites either side of j0; a
 # sweep's gap from that reduced chain serves the whole chain.
 WINDOW_RADIUS = 20
+# The one solve policy: rank, weight cutoff and sweep-energy tolerance of
+# every ground and bound state.  The gap only places the Raman window.
+SOLVE_RANK = 16
+SOLVE_CUTOFF = 1e-12
+SOLVE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -175,47 +180,41 @@ def _hastings_form(state: MPS):
 def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
     """Gates of one stage on the disjoint ``bonds``, all at once.
 
-    Bonds whose sites share their shapes form ``m = gate (B_x B_x+1)`` in
-    one batched matmul, and the left bond values weight its rows into
-    theta; one SVD launch then splits every theta of one shape.  One `truncation_ranks`
-    call over the stage's singular values (zero-padded to a common length,
-    which changes no rank) picks the kept ranks; per bond, the right site
-    becomes the kept rows of ``vh`` and the left site ``m vh^H``, so no bond
-    value is ever inverted.  ``vac`` (per site, `_near_vacuum`) is kept
-    current.  Returns ``kept``, the product over bonds of the fraction of
-    theta's weight that the truncation keeps.
+    Bonds whose sites share their shapes form one group: ``m = gate
+    (B_x B_x+1)`` in one batched matmul, the left bond values weight its
+    rows into theta, and one SVD launch splits every theta of the group.
+    One `truncation_ranks` call over the stage's singular values
+    (zero-padded to a common length, which changes no rank) picks the kept
+    ranks; per bond, the right site becomes the kept rows of ``vh`` and the
+    left site ``m vh^H``, so no bond value is ever inverted.  ``vac`` (per
+    site, `_near_vacuum`) is kept current.  Returns ``kept``, the product
+    over bonds of the fraction of theta's weight that the truncation keeps.
     """
     groups: dict = {}
     for x in bonds:
         a, b = sites[x], sites[x + 1]
         groups.setdefault((a.shape[0], a.shape[1], b.shape[1], b.shape[2]),
                           []).append(x)
-    by_shape: dict = {}
+    splits = []
     for (al, dl, dr, ar), xs in groups.items():
         # np.array stacks equal-shape arrays with less overhead than np.stack
         bb = np.array([sites[x].reshape(al * dl, -1)
                        @ sites[x + 1].reshape(-1, dr * ar) for x in xs])
         bb = bb.reshape(len(xs), al, dl * dr, ar)
-        m = np.array([gates[x] for x in xs])[:, None] @ bb
+        m = (np.array([gates[x] for x in xs])[:, None] @ bb).reshape(
+            len(xs), al * dl, dr * ar)
         # theta's row weights: the left bond value of each row
         w = np.repeat(np.array([lams[x] for x in xs]), dl, axis=1)
-        by_shape.setdefault((al * dl, dr * ar), []).append(
-            ([(x, (al, dl, dr, ar)) for x in xs],
-             m.reshape(len(xs), al * dl, dr * ar), w))
-    splits = []
-    for parts in by_shape.values():
-        members, ms, ws = zip(*parts)
-        m = np.concatenate(ms)
-        theta = np.concatenate(ws)[:, :, None] * m
+        theta = w[:, :, None] * m
         if not np.all(np.isfinite(theta)):
             raise NumericError("input to SVD contains non-finite entries")
         s, vh = svd(theta)[1:]
-        splits.append((sum(members, []), m, s, vh))
+        splits.append(((al, dl, dr, ar), xs, m, s, vh))
     n = len(bonds)
-    sv = np.zeros((n, max(split[2].shape[1] for split in splits)))
+    sv = np.zeros((n, max(split[3].shape[1] for split in splits)))
     i = 0
     for split in splits:
-        s = split[2]
+        s = split[3]
         sv[i:i + len(s), :s.shape[1]] = s
         i += len(s)
     keep = truncation_ranks(sv, max_rank, cutoff)
@@ -226,16 +225,16 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
     kept = np.prod(np.divide(kept_sq, total, out=np.ones(n), where=total > 0))
     keep = keep.tolist()
     i = 0
-    for bond_dims, m, s, vh in splits:
-        ks = keep[i:i + len(bond_dims)]
-        i += len(bond_dims)
+    for (al, dl, dr, ar), xs, m, s, vh in splits:
+        ks = keep[i:i + len(xs)]
+        i += len(xs)
         # the new sites are views of these arrays; cut to the largest kept
         # rank, they hold no discarded vectors alive
         kmax = max(ks)
         s = np.ascontiguousarray(s[:, :kmax])
         vh = np.ascontiguousarray(vh[:, :kmax])
         left = m @ vh.conj().transpose(0, 2, 1)
-        for j, ((x, (al, dl, dr, ar)), k) in enumerate(zip(bond_dims, ks)):
+        for j, (x, k) in enumerate(zip(xs, ks)):
             sites[x] = left[j, :, :k].reshape(al, dl, k)
             sites[x + 1] = vh[j, :k].reshape(k, dr, ar)
             lams[x + 1] = s[j, :k]
@@ -440,9 +439,9 @@ class DmrgTrace:
     discarded: float = 0.0        # largest weight dropped by one split
 
 
-def ground_state(params: ModelParams, max_rank: int = 16,
-                 cutoff: float = 1e-12, parity: int = +1, seed: MPS = None,
-                 orthogonal_to=(), tol: float = 1e-6):
+def ground_state(params: ModelParams, max_rank: int = SOLVE_RANK,
+                 cutoff: float = SOLVE_CUTOFF, parity: int = +1,
+                 seed: MPS = None, orthogonal_to=(), tol: float = SOLVE_TOL):
     """Lowest state of one parity sector, by two-site DMRG on the MPO.
 
     Every bond index carries a Z2 label (the parity of the block to its
@@ -595,8 +594,9 @@ def bound_state_seed(params: ModelParams, which: str) -> MPS:
     return product_state(params.local_dims(), occ)
 
 
-def bound_states(params: ModelParams, max_rank: int = 16,
-                 cutoff: float = 1e-12, tol: float = 1e-6) -> BoundStates:
+def bound_states(params: ModelParams, max_rank: int = SOLVE_RANK,
+                 cutoff: float = SOLVE_CUTOFF,
+                 tol: float = SOLVE_TOL) -> BoundStates:
     """Ground state and the two lowest bound excitations, by parity sectors.
 
     Three DMRG solves: E_GS is the even minimum, E1 the odd minimum, and E2
@@ -652,9 +652,10 @@ def scatterer_window(params: ModelParams, radius: int = WINDOW_RADIUS):
                                    boundary="open")
 
 
-def embedded_ground_state(params: ModelParams, max_rank: int = 16,
-                          cutoff: float = 1e-12, radius: int = WINDOW_RADIUS,
-                          tol: float = 1e-6, core: MPS = None):
+def embedded_ground_state(params: ModelParams, max_rank: int = SOLVE_RANK,
+                          cutoff: float = SOLVE_CUTOFF,
+                          radius: int = WINDOW_RADIUS, tol: float = SOLVE_TOL,
+                          core: MPS = None):
     """Ground state of a long chain via its localized photon cloud.
 
     The cloud around the scatterer decays exponentially, so the state is

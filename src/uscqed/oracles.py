@@ -9,11 +9,9 @@ analysis of the linear (boson-scatterer) variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -38,7 +36,6 @@ class EDResult:
     parities: np.ndarray        # +1 / -1 per energy
     bound: dict                 # 'gs'/'e1'/'e2' (and 'e3' when localized)
     residual: float             # max |H v - E v| over all returned pairs
-    dim: int
     vectors: np.ndarray = None  # full-space columns, when requested
 
 
@@ -177,7 +174,7 @@ def exact_diagonalize(params: ModelParams, k_per_sector: int = 4,
     if len(odd) > 1 and pr_by_sector[-1.0][1] < params.L / 2:
         bound["e3"] = odd[1]
     return EDResult(energies=energies, parities=parities, bound=bound,
-                    residual=residual, dim=h.shape[0], vectors=vectors)
+                    residual=residual, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,6 @@ def bogoliubov(params: ModelParams) -> BogoliubovModes:
 @dataclass
 class LinearChannelReport:
     stable: bool
-    min_mode: float
     deposit_max: float     # energy the packet could leave behind
     channel_closed: bool   # no pair-creation channel is energetically open
 
@@ -364,6 +360,5 @@ def linear_no_raman_check(params: ModelParams,
     modes = bogoliubov(params)
     deposit = omega_in - band_edges(params)[0]
     closed = modes.stable and deposit < 2.0 * modes.min_frequency
-    return LinearChannelReport(stable=modes.stable,
-                               min_mode=modes.min_frequency,
-                               deposit_max=deposit, channel_closed=closed)
+    return LinearChannelReport(stable=modes.stable, deposit_max=deposit,
+                               channel_closed=closed)

@@ -43,6 +43,9 @@ EDGE_WEIGHT_LIMIT = 1e-3
 # FFT lengths of the n_k and t(omega) grids, per power-of-two chain length.
 NK_PAD_FACTOR = 4
 SPECTRUM_PAD_FACTOR = 8
+# Half-width of the elastic line and of the Raman window, in packet
+# bandwidths v_g / sigma.
+LINE_WIDTH = 3.0
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,6 @@ class PacketInfo:
     momentum: float
     velocity: float
     bandwidth: float          # frequency half-width v_g / sigma
-    profile: np.ndarray
     messages: list
 
 
@@ -156,7 +158,7 @@ def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
     k = spec.carrier_momentum(params)
     v = abs(float(group_velocity(k, params)))
     info = PacketInfo(omega=spec.carrier_frequency(params), momentum=k,
-                      velocity=v, bandwidth=v / spec.sigma, profile=phi,
+                      velocity=v, bandwidth=v / spec.sigma,
                       messages=messages)
     return state, info
 
@@ -234,11 +236,9 @@ class ScatteringResult:
     snapshots: list
     gs_energy: float
     gs_n_x: np.ndarray
-    state_final: MPS
     k_grid: np.ndarray
-    n_k_initial: np.ndarray
+    n_k_initial: np.ndarray    # occupations on the analysis window
     n_k_final: np.ndarray
-    window: np.ndarray         # sites used for momentum analysis
     gs_n_k: np.ndarray = None  # static cloud background on the same window
     gs_scatterer_population: float = 0.0
     flags: list = field(default_factory=list)
@@ -275,11 +275,12 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
                    measure_nk: bool = False, progress=None) -> ScatteringResult:
     """Propagate one packet and collect everything the analyses need.
 
-    The ground state is computed here unless both ``gs`` and ``gs_energy``
-    are supplied (pass them when scanning carriers at fixed coupling).  Edge
-    contamination is watched on both chain ends for open boundaries but only
-    on the far-from-wall end for the mirror geometry, where bouncing off the
-    wall is the point of the experiment.  The steps run as
+    The ground state is computed here, with the solver's defaults, unless
+    both ``gs`` and ``gs_energy`` are supplied (pass them when scanning
+    carriers at fixed coupling).  Edge contamination is watched on both
+    chain ends for open boundaries but only on the far-from-wall end for
+    the mirror geometry, where bouncing off the wall is the point of the
+    experiment.  The steps run as
     ``min(n_snapshots, n_steps)`` `evolve` calls whose sizes differ by at
     most one step, each followed by a snapshot, after the one at t = 0.
     ``measure_nk`` stores windowed momentum occupations on every snapshot,
@@ -291,8 +292,7 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     say = progress or (lambda s: None)
     if gs is None or gs_energy is None:
         say("solving ground state")
-        gs_energy, gs, _ = embedded_ground_state(params, max_rank=max_rank,
-                                                 cutoff=min(cutoff, 1e-12))
+        gs_energy, gs, _ = embedded_ground_state(params)
     state, info = prepare_input(gs, params, spec, max_rank, cutoff)
     say(f"packet at k={info.momentum:+.4f}, v={info.velocity:.4f}")
 
@@ -362,8 +362,8 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
         momentum_occupations(state, params, window)[1]
     result = ScatteringResult(params=params, spec=spec, info=info,
                               snapshots=snapshots, gs_energy=gs_energy,
-                              gs_n_x=gs_n_x, state_final=state, k_grid=k_grid,
-                              n_k_initial=n_k0, n_k_final=n_k1, window=window,
+                              gs_n_x=gs_n_x, k_grid=k_grid,
+                              n_k_initial=n_k0, n_k_final=n_k1,
                               gs_n_k=gs_n_k, gs_scatterer_population=gs_pop,
                               flags=flags, edge_time=edge_time)
     if params.boundary == "open" and info.momentum > 0:
@@ -410,8 +410,6 @@ class TransmissionSpectrum:
     omega: np.ndarray
     T: np.ndarray              # |t|^2 on the valid grid points
     R: np.ndarray              # |r|^2, reflected side at mirrored momenta
-    t_amp: np.ndarray
-    r_amp: np.ndarray
     k: np.ndarray
     carrier: float             # windowed power ratio at the carrier
 
@@ -453,18 +451,17 @@ def transmission_spectrum(result: ScatteringResult, window: int = 10,
     carrier = power_run / power_free if power_free > 0 else float("nan")
     return TransmissionSpectrum(omega=dispersion(np.abs(k[idx]), p),
                                 T=np.abs(t_amp) ** 2, R=np.abs(r_amp) ** 2,
-                                t_amp=t_amp, r_amp=r_amp, k=k[idx],
-                                carrier=carrier)
+                                k=k[idx], carrier=carrier)
 
 
 # ---------------------------------------------------------------------------
 # inelastic spectrum
 
 def elastic_mask(k: np.ndarray, params: ModelParams, omega_in: float,
-                 delta_omega: float, width: float = 3.0) -> np.ndarray:
-    """True where a mode is within ``width`` bandwidths of the carrier."""
+                 delta_omega: float) -> np.ndarray:
+    """True where a mode is within `LINE_WIDTH` bandwidths of the carrier."""
     return np.abs(dispersion(np.abs(k), params) - omega_in) \
-        <= width * delta_omega
+        <= LINE_WIDTH * delta_omega
 
 
 @dataclass
@@ -481,8 +478,6 @@ class InelasticResult:
     raman_open: bool           # carrier above the conversion threshold
     k: np.ndarray
     n_k: np.ndarray            # cloud-subtracted occupations used here
-    mask_elastic: np.ndarray
-    mask_raman: np.ndarray
 
 
 def _cloud_subtracted(result: ScatteringResult, n_k: np.ndarray) -> np.ndarray:
@@ -492,8 +487,8 @@ def _cloud_subtracted(result: ScatteringResult, n_k: np.ndarray) -> np.ndarray:
     return np.clip(n_k, 0.0, None)   # Parseval noise can dip below zero
 
 
-def inelastic_spectrum(result: ScatteringResult, gap: float = None,
-                       width: float = 3.0) -> InelasticResult:
+def inelastic_spectrum(result: ScatteringResult,
+                       gap: float = None) -> InelasticResult:
     """Split the outgoing occupations into elastic and converted parts.
 
     ``gap`` is the bound-state excitation energy E2 - E_GS; the Raman line
@@ -501,7 +496,7 @@ def inelastic_spectrum(result: ScatteringResult, gap: float = None,
     cannot be labeled, hence the hard dependency.  The static cloud is
     subtracted first, occupations are normalized by the remaining photon
     number in the window, and the converted part is reported per direction
-    from bins within ``width`` bandwidths of the expected line (carrier
+    from bins within `LINE_WIDTH` bandwidths of the expected line (carrier
     bins win when the two windows overlap at small gap).
     """
     if gap is None:
@@ -517,9 +512,9 @@ def inelastic_spectrum(result: ScatteringResult, gap: float = None,
     om_in = result.info.omega
     d_om = result.info.bandwidth
     om_k = dispersion(np.abs(k), p)
-    el = elastic_mask(k, p, om_in, d_om, width)
+    el = elastic_mask(k, p, om_in, d_om)
     om_out = om_in - gap
-    ram = ~el & (np.abs(om_k - om_out) <= width * d_om)
+    ram = ~el & (np.abs(om_k - om_out) <= LINE_WIDTH * d_om)
     ine = ~el
     w_ine = float(np.sum(n_k[ine]))
     centroid = float(np.sum(n_k[ine] * om_k[ine]) / w_ine) \
@@ -533,7 +528,7 @@ def inelastic_spectrum(result: ScatteringResult, gap: float = None,
         p_other=float(np.sum(n_k[ine & ~ram])) / total,
         omega_out=centroid, omega_out_expected=om_out, bandwidth=d_om,
         raman_open=bool(om_in > raman_threshold(gap, p)),
-        k=k, n_k=n_k, mask_elastic=el, mask_raman=ram)
+        k=k, n_k=n_k)
 
 
 def raman_threshold(gap: float, params: ModelParams) -> float:

@@ -31,11 +31,6 @@ from .model import ModelParams
 # |T + R + P_ine - 1| beyond this marks a row as violating flux balance.
 BALANCE_TOLERANCE = 0.05
 
-# Solver rank and energy tolerance of every gap and sweep ground state; the
-# gap only places the Raman window.
-BOUND_RANK = 16
-BOUND_TOL = 1e-4
-
 COLUMNS = ["run_id", "g", "omega_in", "k_in", "T", "R", "p_elastic",
            "p_inelastic", "p_inelastic_t", "p_inelastic_r", "omega_out",
            "omega_out_expected", "gap", "raman_threshold", "gs_energy",
@@ -130,16 +125,12 @@ def _grid(config: RunConfig):
     return [(g, kind, val) for g in gs for kind, val in carriers(config)]
 
 
-def window_bound_states(params: ModelParams, cutoff: float,
-                        radius: int = WINDOW_RADIUS):
+def window_bound_states(params: ModelParams, radius: int = WINDOW_RADIUS):
     """`BoundStates` on the window around j0, behind every reported gap."""
-    _, small = scatterer_window(params, radius)
-    return bound_states(small, max_rank=BOUND_RANK, cutoff=cutoff,
-                        tol=BOUND_TOL)
+    return bound_states(scatterer_window(params, radius)[1])
 
 
-def bound_data(params: ModelParams, cutoff: float = 1e-12,
-               radius: int = WINDOW_RADIUS):
+def bound_data(params: ModelParams, radius: int = WINDOW_RADIUS):
     """(gap, gs, gs_energy) for one coupling; gap from a reduced chain.
 
     The excitation gap E2 - E_GS comes from the three bound states on a
@@ -147,10 +138,9 @@ def bound_data(params: ModelParams, cutoff: float = 1e-12,
     the full chain and polished there, is what scattering runs build
     packets on, so each coupling solves its ground state once.
     """
-    bs = window_bound_states(params, cutoff, radius)
-    e_gs, gs, _ = embedded_ground_state(params, max_rank=BOUND_RANK,
-                                        cutoff=cutoff, radius=radius,
-                                        tol=BOUND_TOL, core=bs.states[0])
+    bs = window_bound_states(params, radius)
+    e_gs, gs, _ = embedded_ground_state(params, radius=radius,
+                                        core=bs.states[0])
     return float(bs.raman_gap), gs, float(e_gs)
 
 
@@ -312,9 +302,8 @@ def sweep(config: RunConfig, progress=None) -> list:
     for g, items in itertools.groupby(todo, key=lambda item: item[1]):
         say(f"g={g:g}: solving bound states and ground state")
         try:
-            gap, gs, e_gs = bound_data(
-                dataclasses.replace(config.model, g=g),
-                cutoff=min(config.evolution.cutoff, 1e-12))
+            gap, gs, e_gs = bound_data(dataclasses.replace(config.model,
+                                                           g=g))
             failure = None
         except Exception as exc:
             failure = f"error: bound states failed: {exc}"
@@ -370,8 +359,8 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
     a deviation never measured is not reported as zero.  The sweep grids
     in ``config`` are ignored; the base model and packet define the single
     scattering geometry studied.  The ground state is solved once per
-    n_max and solver rank ``max(D, 12)`` and shared by the runs that use
-    it; no gap is needed, so no bound states are solved.
+    n_max, with the solver's own defaults, and shared by every D; no gap
+    is needed, so no bound states are solved.
     """
     D_list = list(D_list)
     nmax_list = list(nmax_list)
@@ -380,22 +369,19 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
     say = progress or (lambda s: None)
     chash = config_hash(config)
     rows, spectra = [], {}
-    ground = {}                # (n_max, max_rank) -> (gs, gs_energy)
     for n_max in nmax_list:
         params = dataclasses.replace(config.model, n_max=n_max)
         prev = None
+        ground = None
         for D in D_list:
             t0 = time.perf_counter()
             say(f"n_max={n_max} D={D}")
             evo = dataclasses.replace(config.evolution, max_rank=D)
             try:
-                key = (n_max, max(D, 12))
-                if key not in ground:
-                    e_gs, gs, _ = embedded_ground_state(
-                        params, max_rank=key[1],
-                        cutoff=min(evo.cutoff, 1e-12), tol=BOUND_TOL)
-                    ground[key] = (gs, float(e_gs))
-                gs, e_gs = ground[key]
+                if ground is None:
+                    e_gs, gs, _ = embedded_ground_state(params)
+                    ground = (gs, float(e_gs))
+                gs, e_gs = ground
                 result = sc.run_scattering(params, config.packet, evo.t_final,
                                            gs=gs, gs_energy=e_gs,
                                            **evo.run_kwargs())

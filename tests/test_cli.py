@@ -113,6 +113,16 @@ def test_ground_state_command_reports_the_exact_energy(tmp_path, capsys):
                                  abs=1e-6)
 
 
+def test_ground_state_command_writes_the_energy_a_sweep_uses(tmp_path):
+    path = write_config(tmp_path)
+    assert cli.main(["ground-state", "--config", path, "--quiet"]) \
+        == cli.EXIT_OK
+    cfg = parse_config(path)
+    meta = tmp_path / "out" / f"ground-state_{config_hash(cfg)}.meta.json"
+    e_gs = json.loads(meta.read_text(encoding="utf-8"))["E_GS"]
+    assert e_gs == sw.bound_data(cfg.model)[2]
+
+
 def test_unconverged_solve_is_an_invalid_run(tmp_path, capsys, monkeypatch):
     def unconverged(*args, **kwargs):
         raise ConvergenceError("DMRG energy not within 1.0e-06 after 40 "

@@ -196,7 +196,7 @@ def counting_svd(monkeypatch):
 
 
 def test_one_svd_launch_per_theta_shape_and_stage(monkeypatch):
-    # L = 10, bond cap 4: one stage holds the same theta shape twice
+    # L = 10, bond cap 4: one stage holds the same site shapes twice
     p = M.ModelParams(L=10, g=0.8, j0=4, n_max=2)
     state = random_mps(np.random.default_rng(4), p.L, p.local_dims(), 4)
     gates = M.trotter_gates(p, dt=0.05, order=3)
@@ -204,15 +204,19 @@ def test_one_svd_launch_per_theta_shape_and_stage(monkeypatch):
     batched = False
     for stage in gates.stages:
         sites, _ = ev._hastings_form(state)
-        shapes = {(sites[x].shape[0] * sites[x].shape[1],
-                   sites[x + 1].shape[1] * sites[x + 1].shape[2])
-                  for x, g in enumerate(stage.gates) if g is not None}
+        groups = {}
+        for x, g in enumerate(stage.gates):
+            if g is not None:
+                key = sites[x].shape[:2] + sites[x + 1].shape[1:]
+                groups[key] = groups.get(key, 0) + 1
+        want = sorted((n, al * dl, dr * ar)
+                      for (al, dl, dr, ar), n in groups.items())
         del launches[:]
         state, trace = ev.evolve(
             state, dataclasses.replace(gates, stages=(stage,)), 1,
             max_rank=4, cutoff=0.0)
-        assert len(launches) <= len(shapes)
-        assert {shape[1:] for shape in launches} == shapes
+        # one launch per site-shape group, holding exactly its bonds
+        assert sorted(launches) == want
         assert sum(shape[0] for shape in launches) == trace.gates_applied
         batched |= any(shape[0] > 1 for shape in launches)
     assert batched

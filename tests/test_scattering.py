@@ -278,11 +278,11 @@ def fake_result(params, spec, k, n0, n1, gs_n_k=None):
     kc = float(M.momentum_from_frequency(spec.omega, params))
     v = abs(float(M.group_velocity(kc, params)))
     info = sc.PacketInfo(omega=spec.omega, momentum=kc, velocity=v,
-                         bandwidth=v / spec.sigma, profile=None, messages=[])
+                         bandwidth=v / spec.sigma, messages=[])
     return sc.ScatteringResult(params=params, spec=spec, info=info,
                                snapshots=[], gs_energy=0.0, gs_n_x=None,
-                               state_final=None, k_grid=k, n_k_initial=n0,
-                               n_k_final=n1, window=None, gs_n_k=gs_n_k)
+                               k_grid=k, n_k_initial=n0, n_k_final=n1,
+                               gs_n_k=gs_n_k)
 
 
 def synthetic_grid():

@@ -1,6 +1,5 @@
 """Sweep orchestration: rows, resume, per-row failures, convergence."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -97,7 +96,7 @@ def test_single_point_sweep_matches_direct_run(free_sweep):
     cfg, rows = free_sweep
     assert len(rows) == 1
     row = rows[0]
-    gap, gs, e_gs = sw.bound_data(cfg.model, cutoff=1e-12)
+    gap, gs, e_gs = sw.bound_data(cfg.model)
     direct = sw.run_point(cfg, "direct", 0.0, "omega", 1.0, gap, gs, e_gs)
     assert direct.T == pytest.approx(row.T, abs=1e-12)
     assert direct.R == pytest.approx(row.R, abs=1e-12)
@@ -219,17 +218,28 @@ def test_convergence_study_rejects_empty_lists(tmp_path):
         sw.convergence_study(cfg, [4], [])
 
 
-def test_convergence_study_on_free_chain_is_rank_independent(tmp_path):
+def test_convergence_study_on_free_chain_is_rank_independent(tmp_path,
+                                                             monkeypatch):
     # one photon over the vacuum is a W state, Schmidt rank 2 at every cut,
-    # so D=2 is already exact and agrees with D=4
+    # so D=2 is already exact and agrees with D=14
+    solves = []
+    solve = sw.embedded_ground_state
+
+    def counted(params, *args, **kw):
+        solves.append(params.n_max)
+        return solve(params, *args, **kw)
+
+    monkeypatch.setattr(sw, "embedded_ground_state", counted)
     cfg = make_config(tmp_path)
-    study = sw.convergence_study(cfg, [2, 4], [1])
-    assert [r.D for r in study.rows] == [2, 4]
+    study = sw.convergence_study(cfg, [2, 14], [1])
+    # one ground state per n_max, whatever the bond dimensions
+    assert solves == [1]
+    assert [r.D for r in study.rows] == [2, 14]
     assert not any(r.unphysical for r in study.rows)
     assert all(r.flags == "" for r in study.rows)
     assert math.isnan(study.rows[0].max_dev_prev)     # nothing to compare yet
     assert study.rows[1].max_dev_prev < 1e-6
-    om, T, R = study.spectra[(4, 1)]
+    om, T, R = study.spectra[(14, 1)]
     assert np.all(T[np.isfinite(T)] <= 1.005)
     out = tmp_path / "conv.csv"
     sw.write_convergence_csv(study, str(out))
