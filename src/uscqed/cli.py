@@ -131,13 +131,13 @@ def cmd_scatter(args) -> int:
     say = _say(args)
     chash = config_hash(cfg)
     os.makedirs(cfg.outputs.directory, exist_ok=True)
-    g, kind, value = _grid(cfg)[0]
+    g, omega = _grid(cfg)[0]
     say(f"g={g:g}: solving bound states and ground state")
     gap, gs, e_gs = bound_data(cfg.model)
     say(f"gap = {gap:.6f}; launching packet")
     sidecar = os.path.join(cfg.outputs.directory, f"run_{chash}_000.json") \
         if "json" in cfg.outputs.formats else None
-    row = run_point(cfg, f"{chash[:8]}-000", g, kind, value, gap, gs, e_gs,
+    row = run_point(cfg, f"{chash[:8]}-000", g, omega, gap, gs, e_gs,
                     sidecar_path=sidecar, measure_nk=args.nk_series,
                     strict=True)
     if "csv" in cfg.outputs.formats:

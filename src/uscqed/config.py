@@ -1,13 +1,14 @@
 """Run configuration: strict JSON parsing, named presets, and hashing.
 
 A config bundles the model, the packet, the time stepper, optional sweep
-grids, and output destinations.  Parsing is strict: unknown keys anywhere
-are hard errors, so a typo never silently falls back to a default, and
-every carrier is checked against the chain (band, launch site, overlap
-with the scatterer) before any solve can start.  Preset expansion happens
-before user overlays, and the expanded values are what gets hashed, so the
-same physics reached via a preset or spelled out by hand carries the same
-identity.
+grids, and output destinations.  A carrier is always a band frequency: the
+packet's ``omega``, or each entry of a ``sweep.omega_in`` grid.  Parsing is
+strict: unknown keys anywhere are hard errors, so a typo never silently
+falls back to a default, and every carrier is checked against the chain
+(band, launch site, overlap with the scatterer) before any solve can start.
+Preset expansion happens before user overlays, and the expanded values are
+what gets hashed, so the same physics reached via a preset or spelled out
+by hand carries the same identity.
 """
 
 from __future__ import annotations
@@ -26,26 +27,20 @@ from .scattering import WavepacketSpec, check_packet
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Optional grids over coupling and carrier; empty axes reuse the base."""
+    """Optional grids over coupling and carrier frequency; an empty axis
+    reuses the base model's ``g`` or the packet's ``omega``."""
 
     g: tuple = ()
     omega_in: tuple = ()
-    k_in: tuple = ()
 
     def __post_init__(self):
-        for name in ("g", "omega_in", "k_in"):
+        for name in ("g", "omega_in"):
             vals = getattr(self, name)
             try:
                 vals = tuple(float(v) for v in vals)
             except (TypeError, ValueError):
                 raise ConfigError(f"sweep.{name} must be a list of numbers")
             object.__setattr__(self, name, vals)
-        if self.omega_in and self.k_in:
-            raise ConfigError("sweep cannot grid omega_in and k_in together")
-
-    @property
-    def empty(self) -> bool:
-        return not (self.g or self.omega_in or self.k_in)
 
 
 @dataclass(frozen=True)
@@ -166,14 +161,6 @@ def from_dict(data: dict) -> RunConfig:
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         merged = _merge(merged, PRESETS[preset])
     merged = _merge(merged, {k: v for k, v in data.items() if k != "preset"})
-    # a user-specified carrier replaces the preset's, whichever form it takes
-    for section, pair in (("packet", ("omega", "k_in")),
-                          ("sweep", ("omega_in", "k_in"))):
-        given = data.get(section, {})
-        if isinstance(given, dict) and isinstance(merged.get(section), dict):
-            for mine, other in (pair, pair[::-1]):
-                if mine in given and other not in given:
-                    merged[section].pop(other, None)
     for section, cls in _SECTIONS.items():
         part = merged.get(section, {})
         if not isinstance(part, dict):
@@ -188,27 +175,11 @@ def from_dict(data: dict) -> RunConfig:
 
 
 def carriers(config: RunConfig) -> list:
-    """``(kind, value)`` carriers of a run in grid order.
+    """Carrier frequencies of a run in grid order.
 
-    ``kind`` is ``"omega"`` or ``"k_in"``; a carrier grid replaces the
-    packet's own carrier.
+    A ``sweep.omega_in`` grid replaces the packet's own ``omega``.
     """
-    if config.sweep.omega_in:
-        return [("omega", v) for v in config.sweep.omega_in]
-    if config.sweep.k_in:
-        return [("k_in", v) for v in config.sweep.k_in]
-    if config.packet.omega is not None:
-        return [("omega", config.packet.omega)]
-    return [("k_in", config.packet.k_in)]
-
-
-def carrier_spec(packet: WavepacketSpec, kind: str,
-                 value: float) -> WavepacketSpec:
-    """``packet`` with its carrier replaced by one from `carriers`."""
-    if kind == "omega":
-        return WavepacketSpec(sigma=packet.sigma, x0=packet.x0, omega=value,
-                              direction=packet.direction)
-    return WavepacketSpec(sigma=packet.sigma, x0=packet.x0, k_in=value)
+    return list(config.sweep.omega_in or (config.packet.omega,))
 
 
 def _check_carriers(config: RunConfig) -> None:
@@ -217,11 +188,12 @@ def _check_carriers(config: RunConfig) -> None:
         check_packet(config.model, config.packet)
     except ValueError as exc:
         raise ConfigError(f"packet: {exc}") from exc
-    for kind, value in carriers(config):
+    for omega in carriers(config):
         try:
-            check_packet(config.model, carrier_spec(config.packet, kind, value))
+            check_packet(config.model,
+                         dataclasses.replace(config.packet, omega=omega))
         except ValueError as exc:
-            raise ConfigError(f"carrier {kind}={value:g}: {exc}") from exc
+            raise ConfigError(f"carrier omega={omega:g}: {exc}") from exc
 
 
 def parse_config(path=None, preset: str = None, out: str = None) -> RunConfig:

@@ -1,10 +1,10 @@
 """Real-time TEBD, and DMRG for the ground state and the bound states.
 
 Real time: `evolve` runs the Trotter stages at fixed step size and keeps a
-trace of the discarded weight, the largest bond and the gate counts.  It
-works on raw lists of tensors in Hastings' form (Vidal, PRL 93, 040502
-(2004); Hastings, J. Math. Phys. 50, 095207 (2009)): sites B that are
-right-canonical, and the singular values lambda of every bond.
+trace of the discarded weight and the gate counts.  It works on raw lists
+of tensors in Hastings' form (Vidal, PRL 93, 040502 (2004); Hastings,
+J. Math. Phys. 50, 095207 (2009)): sites B that are right-canonical, and
+the singular values lambda of every bond.
 
 - Entry: the gauge is built exactly, once per call.  The center goes to the
   last site and one right-to-left sweep of `tensors.split_matrix` gives B
@@ -251,7 +251,6 @@ class EvolutionTrace:
     # one entry per step; the entry of every step but a call's last already
     # includes the seam stage into the next step (see `evolve`)
     discarded: list = field(default_factory=list)    # per-step squared weight
-    max_bonds: list = field(default_factory=list)
     gates_applied: int = 0
     gates_skipped: int = 0                           # identity on a vacuum pair
 
@@ -311,8 +310,6 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
             trace.gates_applied += len(run)
             trace.gates_skipped += len(xs) - len(run)
         trace.discarded.append(1.0 - lost)
-        trace.max_bonds.append(max((a.shape[2] for a in sites[:-1]),
-                                   default=1))
         if not warned and trace.total_discarded > TRUNCATION_BUDGET:
             warnings.warn(
                 f"accumulated truncation weight {trace.total_discarded:.3e} "

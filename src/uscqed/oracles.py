@@ -91,13 +91,19 @@ def _sector_lowest(hs, k: int):
     A basis state without off-diagonal entries (the rwa vacuum) is an exact
     eigenvector on its own, and Lanczos can miss such a decoupled level, so
     those states are taken as they are and Lanczos runs on the coupled rest.
+    Lanczos starts from a fixed seeded vector, so repeated solves agree bit
+    for bit.
     """
+    def lanczos(m):
+        v0 = np.random.default_rng(0).standard_normal(m.shape[0])
+        return spla.eigsh(m, k=k, which="SA", v0=v0)
+
     n = hs.shape[0]
     diag = hs.diagonal().real
     off = np.asarray(abs(hs - sp.diags(hs.diagonal())).sum(axis=1)).ravel()
     loose = np.flatnonzero(off == 0)
     if loose.size == 0:
-        return spla.eigsh(hs, k=k, which="SA")
+        return lanczos(hs)
     loose = loose[np.argsort(diag[loose], kind="stable")[:k]]
     vals = [diag[loose]]
     vecs = np.zeros((n, loose.size), dtype=complex)
@@ -108,7 +114,7 @@ def _sector_lowest(hs, k: int):
         if coupled.size <= k + 1:
             cvals, cvecs = np.linalg.eigh(hc.toarray())
         else:
-            cvals, cvecs = spla.eigsh(hc, k=k, which="SA")
+            cvals, cvecs = lanczos(hc)
         vals.append(cvals)
         vecs = np.hstack([vecs, np.zeros((n, cvals.size), dtype=complex)])
         vecs[coupled, loose.size:] = cvecs

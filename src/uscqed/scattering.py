@@ -52,17 +52,14 @@ LINE_WIDTH = 3.0
 class WavepacketSpec:
     """Gaussian single-photon packet: width, launch site, and carrier.
 
-    The carrier is either a band frequency ``omega`` (with ``direction``
-    picking the propagation sense) or a signed central momentum ``k_in``;
-    exactly one of the two must be given, the other being fixed by the
-    dispersion.  Site amplitudes follow
-    ``phi_x ~ exp[-(x - x0)^2 / 2 sigma^2 + i k x]``.
+    The carrier is the band frequency ``omega``; the dispersion fixes the
+    central momentum and ``direction`` its sign, +1 for a right-mover.
+    Site amplitudes follow ``phi_x ~ exp[-(x - x0)^2 / 2 sigma^2 + i k x]``.
     """
 
     sigma: float
     x0: float
-    omega: float = None
-    k_in: float = None
+    omega: float
     direction: int = +1
 
     def __post_init__(self):
@@ -70,27 +67,13 @@ class WavepacketSpec:
             raise ValueError("sigma must be positive")
         if self.direction not in (+1, -1):
             raise ValueError("direction must be +1 or -1")
-        if (self.omega is None) == (self.k_in is None):
-            raise ValueError("specify exactly one of omega and k_in")
-        if self.k_in is not None:
-            if not 0 < abs(self.k_in) <= math.pi:
-                raise ValueError("k_in must lie in (0, pi] up to sign")
-            object.__setattr__(self, "direction",
-                               +1 if self.k_in > 0 else -1)
 
     def carrier_momentum(self, params: ModelParams) -> float:
         """Signed central momentum against the model's dispersion."""
-        if self.k_in is not None:
-            return float(self.k_in)
         k = momentum_from_frequency(self.omega, params)
         if np.isnan(k):
             raise BandEdgeError(f"carrier {self.omega} lies outside the band")
         return self.direction * float(k)
-
-    def carrier_frequency(self, params: ModelParams) -> float:
-        if self.omega is not None:
-            return float(self.omega)
-        return float(dispersion(self.k_in, params))
 
 
 def packet_profile(params: ModelParams, spec: WavepacketSpec) -> np.ndarray:
@@ -157,7 +140,7 @@ def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
             f"creation operator failed to flip parity: {p_gs:+.6f} -> {p_in:+.6f}")
     k = spec.carrier_momentum(params)
     v = abs(float(group_velocity(k, params)))
-    info = PacketInfo(omega=spec.carrier_frequency(params), momentum=k,
+    info = PacketInfo(omega=float(spec.omega), momentum=k,
                       velocity=v, bandwidth=v / spec.sigma,
                       messages=messages)
     return state, info
@@ -549,13 +532,16 @@ def _density_at(k: np.ndarray, n: np.ndarray, k_query: float) -> float:
 def _density_ratios(result: ScatteringResult, gap: float):
     """Density-ratio bookkeeping per forward bin of the incoming packet.
 
-    Both occupations are cloud-subtracted.  Returns ``(omega_in, solid,
-    r_back, p_conv)``: ``solid`` marks bins whose incoming density ``dn``
-    is at least 1% of its peak; on them ``r_back`` is the outgoing density
-    at ``-k`` over ``dn``, and ``p_conv`` the converted weight
+    Both occupations are cloud-subtracted.  Returns ``(omega_in, closed,
+    r_back, p_conv)``.  A bin is solid where its incoming density ``dn`` is
+    at least 1% of its peak; on solid bins ``r_back`` is the outgoing
+    density at ``-k`` over ``dn``, and ``p_conv`` the converted weight
     ``n_out v_in / (dn v_out)`` at ``omega - gap``, where ``n_out`` counts
-    both signs of ``k_out``.  Both are NaN elsewhere, and ``p_conv`` also
-    where ``omega - gap`` falls outside the band.
+    both signs of ``k_out``.  Both are NaN elsewhere.  ``p_conv`` is also
+    NaN on the solid bins that ``closed`` marks, where ``omega - gap``
+    falls outside the band, and where ``omega - gap`` falls inside the
+    solid support: the outgoing density there also holds elastic weight,
+    which this bookkeeping cannot tell from converted weight.
     """
     p = result.params
     k = result.k_grid
@@ -567,20 +553,23 @@ def _density_ratios(result: ScatteringResult, gap: float):
     omega_in = dispersion(k_in, p)
     solid = dens_in >= 0.01 * np.max(dens_in)
     lo, hi = band_edges(p)
+    om_out = omega_in - gap
+    closed = solid & ~((lo < om_out) & (om_out < hi))
+    support = omega_in[solid]
+    elastic = (support.min() <= om_out) & (om_out <= support.max())
     r_back = np.full(k_in.shape, np.nan)
     p_conv = np.full(k_in.shape, np.nan)
     for i in np.flatnonzero(solid):
         dn = dens_in[i]
         r_back[i] = _density_at(k, n1, -float(k_in[i])) / dn
-        om_out = omega_in[i] - gap
-        if not lo < om_out < hi:
+        if closed[i] or elastic[i]:
             continue
-        k_out = float(momentum_from_frequency(om_out, p))
+        k_out = float(momentum_from_frequency(om_out[i], p))
         n_out = _density_at(k, n1, k_out) + _density_at(k, n1, -k_out)
         v_in = abs(group_velocity(float(k_in[i]), p))
         v_out = abs(group_velocity(k_out, p))
         p_conv[i] = n_out * v_in / (dn * v_out)
-    return omega_in, solid, r_back, p_conv
+    return omega_in, closed, r_back, p_conv
 
 
 def broadband_inelastic(result: ScatteringResult, gap: float):
@@ -591,7 +580,9 @@ def broadband_inelastic(result: ScatteringResult, gap: float):
     incoming density at ``omega`` (both flux-corrected by their group
     velocities, both cloud-subtracted) gives P_ine(omega) across the
     packet's whole bandwidth.  Returns ``(omega_grid, p_ine)`` with NaN
-    where kinematically closed or the incoming density is too thin.
+    where kinematically closed, where the incoming density is too thin, and
+    where ``omega - gap`` lies inside the packet's own band, whose elastic
+    weight would be counted as converted.
     """
     if gap is None:
         raise DependencyError("broadband analysis needs the bound-state gap")
@@ -633,10 +624,11 @@ def mirror_reflection_spectrum(result: ScatteringResult, gap: float):
     sends everything back, so wherever the incoming density is solid the
     elastic and converted fractions should sum to one up to analysis error.
     Returns ``(omega_grid, r_elastic, p_inelastic)``: both NaN where the
-    incoming density is too thin, ``p_inelastic`` 0 where kinematically closed.
+    incoming density is too thin, ``p_inelastic`` 0 where kinematically
+    closed and NaN where ``omega - gap`` lies inside the packet's own band.
     """
     if gap is None:
         raise DependencyError("mirror analysis needs the bound-state gap")
-    omega_in, solid, r_el, p_ine = _density_ratios(result, gap)
-    p_ine[solid & np.isnan(p_ine)] = 0.0
+    omega_in, closed, r_el, p_ine = _density_ratios(result, gap)
+    p_ine[closed] = 0.0
     return omega_in, r_el, p_ine

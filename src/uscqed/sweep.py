@@ -1,6 +1,6 @@
 """Sweep orchestration: grids of scattering runs with resumable CSV output.
 
-One row per (g, carrier) point, run one after another in grid order.
+One row per (g, omega_in) point, run one after another in grid order.
 Bound states and the embedded ground state are solved once per coupling and
 shared read-only by that coupling's runs; each run appends its row
 atomically, so an interrupted sweep resumes by skipping every coordinate
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scattering as sc
-from .config import RunConfig, carrier_spec, carriers, config_hash
+from .config import RunConfig, carriers, config_hash
 from .errors import ConfigError
 from .evolution import (WINDOW_RADIUS, bound_states, embedded_ground_state,
                         scatterer_window)
@@ -120,9 +120,9 @@ def sweep_path(config: RunConfig) -> str:
 
 
 def _grid(config: RunConfig):
-    """(g, carrier_kind, carrier_value) tuples in grid order, g-major."""
+    """``(g, omega)`` points in grid order, g-major."""
     gs = config.sweep.g or (config.model.g,)
-    return [(g, kind, val) for g in gs for kind, val in carriers(config)]
+    return [(g, omega) for g in gs for omega in carriers(config)]
 
 
 def window_bound_states(params: ModelParams, radius: int = WINDOW_RADIUS):
@@ -177,10 +177,9 @@ def _sidecar_payload(row: ResultRow, result, ts, ine, extra) -> dict:
     return payload
 
 
-def run_point(config: RunConfig, run_id: str, g: float, kind: str,
-              value: float, gap: float, gs, gs_energy: float,
-              sidecar_path: str = None, measure_nk: bool = False,
-              strict: bool = False) -> ResultRow:
+def run_point(config: RunConfig, run_id: str, g: float, omega: float,
+              gap: float, gs, gs_energy: float, sidecar_path: str = None,
+              measure_nk: bool = False, strict: bool = False) -> ResultRow:
     """One scattering run reduced to a ResultRow.
 
     Exceptions become error rows unless ``strict``; single-run callers set
@@ -191,7 +190,7 @@ def run_point(config: RunConfig, run_id: str, g: float, kind: str,
     params = dataclasses.replace(config.model, g=g)
     chash = config_hash(config)
     try:
-        spec = carrier_spec(config.packet, kind, value)
+        spec = dataclasses.replace(config.packet, omega=omega)
         result = sc.run_scattering(params, spec, evo.t_final,
                                    gs=gs, gs_energy=gs_energy,
                                    measure_nk=measure_nk,
@@ -242,23 +241,21 @@ def run_point(config: RunConfig, run_id: str, g: float, kind: str,
     except Exception as exc:  # record the failure, keep sweeping
         if strict:
             raise
-        return _error_row(config, run_id, g, kind, value,
+        return _error_row(config, run_id, g, omega,
                           f"error: {type(exc).__name__}: {exc}",
                           gap=gap, gs_energy=gs_energy,
                           wall_time=time.perf_counter() - t0)
 
 
-def _error_row(config: RunConfig, run_id: str, g: float, kind: str,
-               value: float, flags: str, gap: float = None,
-               gs_energy: float = None, wall_time: float = 0.0) -> ResultRow:
+def _error_row(config: RunConfig, run_id: str, g: float, omega: float,
+               flags: str, gap: float = None, gs_energy: float = None,
+               wall_time: float = 0.0) -> ResultRow:
     """Row of a point that produced no result; ``flags`` says why."""
     nan = float("nan")
     return ResultRow(
-        run_id=run_id, g=g,
-        omega_in=value if kind == "omega" else nan,
-        k_in=value if kind == "k_in" else nan,
-        T=nan, R=nan, p_elastic=nan, p_inelastic=nan, p_inelastic_t=nan,
-        p_inelastic_r=nan, omega_out=nan, omega_out_expected=nan,
+        run_id=run_id, g=g, omega_in=omega, k_in=nan, T=nan, R=nan,
+        p_elastic=nan, p_inelastic=nan, p_inelastic_t=nan, p_inelastic_r=nan,
+        omega_out=nan, omega_out_expected=nan,
         gap=nan if gap is None else gap, raman_threshold=nan,
         gs_energy=nan if gs_energy is None else gs_energy,
         D=config.evolution.max_rank, n_max=config.model.n_max,
@@ -282,17 +279,10 @@ def sweep(config: RunConfig, progress=None) -> list:
     _ensure_header(path)
     chash = config_hash(config)
     done_rows = [r for r in read_rows(path) if r.config_hash == chash]
-    done = set()
-    for r in done_rows:
-        done.add((fmt(r.g), fmt(r.omega_in)))
-        done.add((fmt(r.g), fmt(r.k_in)))
+    done = {(fmt(r.g), fmt(r.omega_in)) for r in done_rows}
     points = _grid(config)
-    todo = []
-    for i, (g, kind, val) in enumerate(points):
-        key = (fmt(g), fmt(float(val)))
-        if key in done:
-            continue
-        todo.append((i, g, kind, val))
+    todo = [(i, g, omega) for i, (g, omega) in enumerate(points)
+            if (fmt(g), fmt(float(omega))) not in done]
     say(f"{len(points)} grid points, {len(points) - len(todo)} already done")
     if not todo:
         return done_rows
@@ -307,16 +297,15 @@ def sweep(config: RunConfig, progress=None) -> list:
             failure = None
         except Exception as exc:
             failure = f"error: bound states failed: {exc}"
-        for i, _, kind, val in items:
+        for i, _, omega in items:
             run_id = f"{chash[:8]}-{i:03d}"
             if failure is not None:
-                row = _error_row(config, run_id, g, kind, val, failure)
+                row = _error_row(config, run_id, g, omega, failure)
             else:
                 side = os.path.join(config.outputs.directory,
                                     f"run_{chash}_{i:03d}.json") \
                     if want_sidecar else None
-                row = run_point(config, run_id, g, kind, val, gap, gs, e_gs,
-                                side)
+                row = run_point(config, run_id, g, omega, gap, gs, e_gs, side)
             _append_row(path, row)
             new_rows.append(row)
             say(f"  row {row.run_id}: omega={row.omega_in:.4g} "

@@ -89,6 +89,13 @@ def test_sweep_carrier_outside_band_is_rejected_before_any_solve(
     assert not (tmp_path / "out").exists()
 
 
+def test_momentum_carrier_is_a_config_error(tmp_path, capsys, no_solves):
+    for section, key in (("packet", {"k_in": 1.2}), ("sweep", {"k_in": [1.0]})):
+        path = write_config(tmp_path, **{section: key})
+        assert cli.main(["scatter", "--config", path]) == cli.EXIT_CONFIG
+        assert f"unknown key {section}.k_in" in capsys.readouterr().err
+
+
 def test_bound_states_command_reports_the_gap_a_sweep_uses(tmp_path):
     path = write_config(tmp_path, model={"L": 6, "j0": 3, "g": 0.6},
                         packet={"sigma": 1.0, "x0": 0.0})

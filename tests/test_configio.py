@@ -78,22 +78,23 @@ def test_unknown_preset_lists_choices():
         C.from_dict({"preset": "fig9"})
 
 
-def test_user_carrier_replaces_preset_carrier_in_either_form():
-    cfg = C.from_dict({"preset": "desk", "packet": {"k_in": 1.2}})
-    assert cfg.packet.omega is None and cfg.packet.k_in == 1.2
+def test_user_carrier_replaces_preset_carrier():
     cfg = C.from_dict({"preset": "desk", "packet": {"omega": 0.7}})
-    assert cfg.packet.omega == 0.7 and cfg.packet.k_in is None
-    cfg = C.from_dict({"preset": "paper-fig3", "sweep": {"k_in": [0.9, 1.4]}})
-    assert cfg.sweep.omega_in == () and cfg.sweep.k_in == (0.9, 1.4)
+    assert cfg.packet.omega == 0.7
+    cfg = C.from_dict({"preset": "paper-fig3", "sweep": {"omega_in": [0.8]}})
+    assert cfg.sweep.omega_in == (0.8,)
 
 
-def test_sweep_grid_rejects_mixed_carriers_and_non_numbers():
-    with pytest.raises(ConfigError, match="together"):
-        C.SweepGrid(omega_in=(1.0,), k_in=(1.0,))
+def test_momentum_carriers_are_unknown_keys():
+    with pytest.raises(ConfigError, match="unknown key packet.k_in"):
+        C.from_dict({"preset": "desk", "packet": {"k_in": 1.2}})
+    with pytest.raises(ConfigError, match="unknown key sweep.k_in"):
+        C.from_dict({"preset": "desk", "sweep": {"k_in": [1.0]}})
+
+
+def test_sweep_grid_rejects_non_numbers():
     with pytest.raises(ConfigError, match="numbers"):
         C.SweepGrid(g=("high",))
-    assert C.SweepGrid().empty
-    assert not C.SweepGrid(g=(0.5,)).empty
 
 
 def test_hash_ignores_outputs_and_preset_spelling():
@@ -161,8 +162,8 @@ def test_carriers_are_checked_at_parse_time():
             data.setdefault(key, {}).update(val)
         return C.from_dict(data)
 
-    assert C.carriers(parse(sweep={"k_in": [0.5, 1.0]})) == [
-        ("k_in", 0.5), ("k_in", 1.0)]
+    assert C.carriers(parse()) == [1.0]
+    assert C.carriers(parse(sweep={"omega_in": [0.9, 1.1]})) == [0.9, 1.1]
     with pytest.raises(ConfigError, match="packet: carrier 2.5 lies outside"):
         parse(packet={"omega": 2.5})
     with pytest.raises(ConfigError, match="packet: packet center outside"):
@@ -171,8 +172,6 @@ def test_carriers_are_checked_at_parse_time():
         parse(packet={"x0": 17.0})
     with pytest.raises(ConfigError, match="carrier omega=0.2: .*outside"):
         parse(sweep={"omega_in": [1.0, 0.2]})
-    with pytest.raises(ConfigError, match="carrier k_in=4: k_in must lie"):
-        parse(sweep={"k_in": [4.0]})
 
 
 def test_formats_are_validated():

@@ -83,6 +83,14 @@ def test_ed_keeps_the_decoupled_rwa_vacuum():
     assert bs.energies[0] == pytest.approx(res.bound["gs"], abs=1e-10)
 
 
+def test_ed_repeats_bit_for_bit():
+    # a random ARPACK start would move the levels at the 1e-15 level
+    p = M.ModelParams(L=6, g=0.6, j0=3, n_max=1)
+    a, b = O.exact_diagonalize(p), O.exact_diagonalize(p)
+    assert np.array_equal(a.energies, b.energies)
+    assert a.bound == b.bound
+
+
 def test_ed_refuses_oversized_hilbert_space():
     p = M.ModelParams(L=40, g=0.5, j0=20, n_max=4)
     with pytest.raises(ResourceError):

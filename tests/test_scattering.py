@@ -52,19 +52,11 @@ def test_packet_profile_rejects_bad_carrier_and_center():
 
 
 def test_wavepacket_spec_momentum_route():
-    s = sc.WavepacketSpec(sigma=4.0, x0=10.0, k_in=-1.2)
-    assert s.direction == -1                      # sign of k_in wins
-    assert s.carrier_momentum(P_FREE) == -1.2
-    assert s.carrier_frequency(P_FREE) == pytest.approx(
-        float(M.dispersion(1.2, P_FREE)))
-    k0 = float(M.momentum_from_frequency(1.0, P_FREE))
-    s2 = sc.WavepacketSpec(sigma=4.0, x0=10.0, k_in=k0)
-    assert np.allclose(sc.packet_profile(P_FREE, s2),
-                       sc.packet_profile(P_FREE, SPEC_FREE))
-    with pytest.raises(ValueError, match="exactly one"):
-        sc.WavepacketSpec(sigma=4.0, x0=10.0)
-    with pytest.raises(ValueError, match="exactly one"):
-        sc.WavepacketSpec(sigma=4.0, x0=10.0, omega=1.0, k_in=k0)
+    s = sc.WavepacketSpec(sigma=4.0, x0=10.0,
+                          omega=float(M.dispersion(1.2, P_FREE)), direction=-1)
+    assert s.carrier_momentum(P_FREE) == pytest.approx(-1.2, abs=1e-12)
+    with pytest.raises(ValueError, match="direction"):
+        sc.WavepacketSpec(sigma=4.0, x0=10.0, omega=1.0, direction=0)
 
 
 def test_prepare_input_flips_parity_and_normalizes():
@@ -375,6 +367,38 @@ def test_broadband_density_method_nan_when_kinematically_closed():
     # converting from 0.5 would land below the band for any positive gap
     _, p_ine = sc.broadband_inelastic(fake_result(p, spec, k, n0, n0), 0.4)
     assert np.all(np.isnan(p_ine))
+
+
+def test_broadband_conversion_is_nan_where_the_line_meets_the_packet_band():
+    # a broad incoming plateau, all of it scattered elastically: with a small
+    # gap, omega - gap falls inside the packet's own band, whose elastic
+    # weight must not be counted as converted
+    p = M.ModelParams(L=64, g=0.7, j0=32, n_max=1)
+    spec = sc.WavepacketSpec(omega=1.0, sigma=1.0, x0=16.0)
+    k = synthetic_grid()
+
+    def plateau(q):
+        return ((q > 0.8) & (q < 2.3)).astype(float)
+
+    res = fake_result(p, spec, k, plateau(k),
+                      0.9 * plateau(k) + 0.1 * plateau(-k))
+    support = sc.dispersion(k[(k > 0.8) & (k < 2.3)], p)
+    for gap in (0.15, 0.3):
+        omega_in, p_ine = sc.broadband_inelastic(res, gap)
+        _, _, p_mirror = sc.mirror_reflection_spectrum(res, gap)
+        om_out = omega_in - gap
+        overlap = (om_out >= support.min()) & (om_out <= support.max())
+        assert overlap.any()
+        assert np.all(np.isnan(p_ine[overlap]))
+        assert np.all(np.isnan(p_mirror[overlap]))
+        finite = np.isfinite(p_ine)
+        assert finite.any()
+        assert np.all((p_ine[finite] >= 0) & (p_ine[finite] <= 1))
+        # the mirror bookkeeping zeroes only the kinematically closed bins
+        closed = (omega_in >= support.min()) & (om_out <= M.band_edges(p)[0])
+        assert np.array_equal(np.flatnonzero(p_mirror == 0.0),
+                              np.flatnonzero(closed | (p_ine == 0.0)))
+        assert closed.any() == (gap == 0.3)   # only the larger gap closes bins
 
 
 def test_raman_threshold_is_gap_above_band_bottom():

@@ -73,15 +73,9 @@ def test_read_rows_round_trip(tmp_path):
 
 def test_grid_expansion_covers_g_and_carriers(tmp_path):
     cfg = make_config(tmp_path, sweep={"g": [0.1, 0.2], "omega_in": [0.8, 1.2]})
-    points = sw._grid(cfg)
-    assert [(g, v) for g, _, v in points] == [
-        (0.1, 0.8), (0.1, 1.2), (0.2, 0.8), (0.2, 1.2)]
-    assert all(kind == "omega" for _, kind, _ in points)
-    cfg = make_config(tmp_path, sweep={"k_in": [1.0]})
-    points = sw._grid(cfg)
-    assert points == [(0.0, "k_in", 1.0)]
+    assert sw._grid(cfg) == [(0.1, 0.8), (0.1, 1.2), (0.2, 0.8), (0.2, 1.2)]
     cfg = make_config(tmp_path)        # no grids: the packet's own carrier
-    assert sw._grid(cfg) == [(0.0, "omega", 1.0)]
+    assert sw._grid(cfg) == [(0.0, 1.0)]
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +91,7 @@ def test_single_point_sweep_matches_direct_run(free_sweep):
     assert len(rows) == 1
     row = rows[0]
     gap, gs, e_gs = sw.bound_data(cfg.model)
-    direct = sw.run_point(cfg, "direct", 0.0, "omega", 1.0, gap, gs, e_gs)
+    direct = sw.run_point(cfg, "direct", 0.0, 1.0, gap, gs, e_gs)
     assert direct.T == pytest.approx(row.T, abs=1e-12)
     assert direct.R == pytest.approx(row.R, abs=1e-12)
     assert direct.p_inelastic == pytest.approx(row.p_inelastic, abs=1e-12)
