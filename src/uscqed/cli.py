@@ -5,6 +5,24 @@ both (the flag overrides the file's preset).  Heavy modules load inside the
 handlers so ``--help`` stays instant.  Exit codes: 0 success, 2 config
 error, 3 resource error, 4 results carrying validity flags or an invalid
 run (non-finite data, a missing input, a solve that did not converge).
+
+The configured commands write into the output directory: tables and
+metadata named ``<stem>_<hash>.<ext>`` by `sweep.output_path` from the
+config hash, each command a ``<command>_<hash>.meta.json`` with the
+expanded config, and run sidecars named by `sweep.run_point`:
+
+* ``ground-state``: ``gs`` CSV, the photon density n_x per site; E_GS and
+  the parity go in the meta JSON;
+* ``bound-states``: ``bound_states`` CSV, one row per coupling, repeated in
+  the meta JSON;
+* ``scatter``: one row appended to the ``scatter`` CSV, repeated in the
+  meta JSON, and the run sidecar ``run_<hash>_000.json``;
+* ``sweep``: the resumable ``sweep`` CSV and one sidecar
+  ``run_<hash>_<i>.json`` per grid point that ran without error;
+* ``converge``: ``convergence`` CSV, one row per (D, n_max), and
+  ``convergence`` JSON, the T(omega) and R(omega) spectra.
+
+``oracle`` writes nothing; ``plot`` writes gnuplot scripts and their data.
 """
 
 from __future__ import annotations
@@ -36,27 +54,23 @@ def _say(args):
     return lambda s: print(s, flush=True)
 
 
-def _write_metadata(cfg, name: str, extra: dict) -> str:
+def _write_metadata(cfg, name: str, extra: dict) -> None:
     from .config import config_hash, to_dict
+    from .sweep import output_path
 
-    if "json" not in cfg.outputs.formats:
-        return ""
-    os.makedirs(cfg.outputs.directory, exist_ok=True)
-    path = os.path.join(cfg.outputs.directory,
-                        f"{name}_{config_hash(cfg)}.meta.json")
     payload = {"command": name, "preset": cfg.preset,
                "config": to_dict(cfg), "config_hash": config_hash(cfg)}
     payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(output_path(cfg, name, "meta.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
-    return path
 
 
 def cmd_ground_state(args) -> int:
-    from .config import config_hash
     from .evolution import embedded_ground_state
     from .model import parity_expectation, photon_number_ops
     from .mps import site_expectations
+    from .sweep import output_path, write_table
 
     cfg = _load_config(args)
     say = _say(args)
@@ -68,15 +82,9 @@ def cmd_ground_state(args) -> int:
     wall = time.perf_counter() - t0
     print(f"E_GS = {e:.12g}   parity = {parity:+.6f}   "
           f"cloud photons = {float(n_x.sum()):.6g}   ({wall:.1f} s)")
-    os.makedirs(cfg.outputs.directory, exist_ok=True)
-    chash = config_hash(cfg)
-    if "csv" in cfg.outputs.formats:
-        path = os.path.join(cfg.outputs.directory, f"gs_{chash}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,n_x\n")
-            for x, v in enumerate(n_x):
-                fh.write(f"{x},{v:.17g}\n")
-        say(f"wrote {path}")
+    path = output_path(cfg, "gs", "csv")
+    write_table(path, ["x", "n_x"], enumerate(n_x))
+    say(f"wrote {path}")
     _write_metadata(cfg, "ground-state",
                     {"E_GS": e, "parity": parity, "wall_time": wall})
     return EXIT_OK
@@ -85,9 +93,8 @@ def cmd_ground_state(args) -> int:
 def cmd_bound_states(args) -> int:
     import dataclasses
 
-    from .config import config_hash
     from .model import band_edges
-    from .sweep import fmt, window_bound_states
+    from .sweep import output_path, window_bound_states, write_table
 
     cfg = _load_config(args)
     say = _say(args)
@@ -106,47 +113,32 @@ def cmd_bound_states(args) -> int:
             f"gap={e2 - e0:.8f} ({time.perf_counter() - t0:.1f} s)")
     band = band_edges(cfg.model)
     print(f"band: [{band[0]:.6f}, {band[1]:.6f}]")
-    os.makedirs(cfg.outputs.directory, exist_ok=True)
-    chash = config_hash(cfg)
-    if "csv" in cfg.outputs.formats:
-        cols = ["g", "E_GS", "E1", "E2", "parity_GS", "parity_E1",
-                "parity_E2", "gap"]
-        path = os.path.join(cfg.outputs.directory,
-                            f"bound_states_{chash}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in rows:
-                fh.write(",".join(fmt(r[c]) for c in cols) + "\n")
-        say(f"wrote {path}")
+    path = output_path(cfg, "bound_states", "csv")
+    write_table(path, list(rows[0]), (r.values() for r in rows))
+    say(f"wrote {path}")
     _write_metadata(cfg, "bound-states", {"rows": rows})
     return EXIT_OK
 
 
 def cmd_scatter(args) -> int:
-    from .config import config_hash
-    from .sweep import (COLUMNS, _ensure_header, _append_row, _grid,
-                        bound_data, run_point)
+    import dataclasses
+
+    from .sweep import (_append_row, _ensure_header, _grid, bound_data,
+                        output_path, run_point)
 
     cfg = _load_config(args)
     say = _say(args)
-    chash = config_hash(cfg)
-    os.makedirs(cfg.outputs.directory, exist_ok=True)
     g, omega = _grid(cfg)[0]
     say(f"g={g:g}: solving bound states and ground state")
-    gap, gs, e_gs = bound_data(cfg.model)
+    gap, gs, e_gs = bound_data(dataclasses.replace(cfg.model, g=g))
     say(f"gap = {gap:.6f}; launching packet")
-    sidecar = os.path.join(cfg.outputs.directory, f"run_{chash}_000.json") \
-        if "json" in cfg.outputs.formats else None
-    row = run_point(cfg, f"{chash[:8]}-000", g, omega, gap, gs, e_gs,
-                    sidecar_path=sidecar, measure_nk=args.nk_series,
-                    strict=True)
-    if "csv" in cfg.outputs.formats:
-        path = os.path.join(cfg.outputs.directory, f"scatter_{chash}.csv")
-        _ensure_header(path)
-        _append_row(path, row)
-        say(f"wrote {path}")
-    _write_metadata(cfg, "scatter", {"row": {c: getattr(row, c)
-                                             for c in COLUMNS}})
+    row = run_point(cfg, 0, g, omega, gap, gs, e_gs,
+                    measure_nk=args.nk_series, strict=True)
+    path = output_path(cfg, "scatter", "csv")
+    _ensure_header(path)
+    _append_row(path, row)
+    say(f"wrote {path}")
+    _write_metadata(cfg, "scatter", {"row": dataclasses.asdict(row)})
     print(f"omega_in={row.omega_in:.6g}  T={row.T:.6g}  R={row.R:.6g}  "
           f"P_ine={row.p_inelastic:.6g}  omega_out={row.omega_out:.6g}  "
           f"flags=[{row.flags or 'none'}]")
@@ -165,8 +157,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    from .config import config_hash
-    from .sweep import convergence_study, write_convergence_csv
+    from .sweep import convergence_study, output_path, write_convergence_csv
 
     cfg = _load_config(args)
     D_list = [int(v) for v in args.bond_dims.split(",") if v]
@@ -177,23 +168,17 @@ def cmd_converge(args) -> int:
         print(f"D={r.D:<3d} n_max={r.n_max}  T_max={r.T_max:.4f}  "
               f"dev_prev={r.max_dev_prev:.4f}  "
               f"{'UNPHYSICAL' if r.unphysical else 'ok'}")
-    os.makedirs(cfg.outputs.directory, exist_ok=True)
-    chash = config_hash(cfg)
-    if "csv" in cfg.outputs.formats:
-        path = os.path.join(cfg.outputs.directory,
-                            f"convergence_{chash}.csv")
-        write_convergence_csv(study, path)
-        print(f"wrote {path}")
-    if "json" in cfg.outputs.formats:
-        path = os.path.join(cfg.outputs.directory,
-                            f"convergence_{chash}.json")
-        payload = {f"D{d}_n{n}": {"omega": list(map(float, om)),
-                                  "T": list(map(float, T)),
-                                  "R": list(map(float, R))}
-                   for (d, n), (om, T, R) in study.spectra.items()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        print(f"wrote {path}")
+    path = output_path(cfg, "convergence", "csv")
+    write_convergence_csv(study, path)
+    print(f"wrote {path}")
+    path = output_path(cfg, "convergence", "json")
+    payload = {f"D{d}_n{n}": {"omega": list(map(float, om)),
+                              "T": list(map(float, T)),
+                              "R": list(map(float, R))}
+               for (d, n), (om, T, R) in study.spectra.items()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    print(f"wrote {path}")
     _write_metadata(cfg, "converge", {"D_list": D_list,
                                       "nmax_list": nmax_list})
     return EXIT_FLAGGED if any(r.unphysical or r.flags.startswith("error")

@@ -1,9 +1,11 @@
 """Run configuration: strict JSON parsing, named presets, and hashing.
 
 A config bundles the model, the packet, the time stepper, optional sweep
-grids, and output destinations.  A carrier is always a band frequency: the
-packet's ``omega``, or each entry of a ``sweep.omega_in`` grid.  Parsing is
-strict: unknown keys anywhere are hard errors, so a typo never silently
+grids, and the output directory, the one output setting: every command
+writes its CSV and its JSON there, under names that `sweep.output_path`
+builds from the config hash.  A carrier is always a band frequency: the
+packet's ``omega``, or each entry of a ``sweep.omega_in`` grid.  Parsing
+is strict: unknown keys anywhere are hard errors, so a typo never silently
 falls back to a default, and every carrier is checked against the chain
 (band, launch site, overlap with the scatterer) before any solve can start.
 Preset expansion happens before user overlays, and the expanded values are
@@ -46,13 +48,6 @@ class SweepGrid:
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "runs"
-    formats: tuple = ("csv", "json")
-
-    def __post_init__(self):
-        object.__setattr__(self, "formats", tuple(self.formats))
-        for f in self.formats:
-            if f not in ("csv", "json"):
-                raise ConfigError(f"outputs.formats: unknown format {f!r}")
 
 
 @dataclass(frozen=True)

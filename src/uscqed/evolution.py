@@ -55,7 +55,6 @@ even and odd minima and the even minimum orthogonal to the ground state.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +66,6 @@ from .model import (ModelParams, TrotterGates, hamiltonian_mpo,
 from .mps import (MPS, _mpo_transfer, _transfer, canonicalize,
                   mpo_expectation, normalize, product_state)
 from .tensors import split_matrix, svd, truncation_rank, truncation_ranks
-
-# Warn once a run has truncated away more than this much squared weight.
-TRUNCATION_BUDGET = 0.05
 
 # A bond-1 site counts as vacuum when its non-vacuum squared weight is at
 # most this fraction of its vacuum weight: amplitudes of 1e-12, twelve
@@ -297,7 +293,6 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
     sites, lams = _hastings_form(state)
     vac = [_near_vacuum(a) for a in sites]
     trace = EvolutionTrace()
-    warned = False
     for step in range(1, n_steps + 1):
         lost = 1.0
         for stage_gates, xs in (stages[(step > 1):-1]
@@ -310,12 +305,6 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
             trace.gates_applied += len(run)
             trace.gates_skipped += len(xs) - len(run)
         trace.discarded.append(1.0 - lost)
-        if not warned and trace.total_discarded > TRUNCATION_BUDGET:
-            warnings.warn(
-                f"accumulated truncation weight {trace.total_discarded:.3e} "
-                f"exceeds the budget {TRUNCATION_BUDGET:.0e}; raise max_rank",
-                stacklevel=2)
-            warned = True
     return canonicalize(MPS(sites), 0), trace
 
 

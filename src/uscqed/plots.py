@@ -47,7 +47,7 @@ def _load_sidecars(rows, sidecar_dir):
             continue
         if not name:
             gaps.append(f"run {r.get('run_id')}: no sidecar "
-                        "(rerun with json output)")
+                        "(delete its row and rerun)")
             continue
         path = os.path.join(sidecar_dir, name)
         if not os.path.exists(path):

@@ -36,6 +36,8 @@ from .mps import (MPS, apply_mpo, correlator_matrix, local_matrix_elements,
 
 # Packet weight tolerated on top of the scatterer cloud before erroring.
 CLOUD_OVERLAP_LIMIT = 1e-3
+# Warn when a run, launch included, truncates away more squared weight.
+TRUNCATION_BUDGET = 0.05
 # Photon weight growth at a chain end that marks later snapshots as
 # contaminated; 1e-3 sits well below spectral tolerances without demanding
 # more than ~3 sigma of Gaussian clearance from the walls.
@@ -113,7 +115,10 @@ class PacketInfo:
 
 def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
                   max_rank: int, cutoff: float = 1e-12):
-    """Create the packet on the ground state; returns ``(state, info)``.
+    """Create the packet on the ground state.
+
+    Returns ``(state, info, discarded)``, ``discarded`` the squared weight
+    the truncated creation dropped before ``state`` was renormalized.
 
     The creation operator is parity-odd, so the input parity is minus the
     ground state's; that flip is asserted here.  Packets that
@@ -131,7 +136,8 @@ def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
     for msg in messages:
         warnings.warn(msg, stacklevel=2)
 
-    state, _ = apply_mpo(gs, packet_creation_mpo(params, phi), max_rank, cutoff)
+    state, discarded = apply_mpo(gs, packet_creation_mpo(params, phi),
+                                 max_rank, cutoff)
     state = normalize(state)
     p_gs = parity_expectation(gs, params)
     p_in = parity_expectation(state, params)
@@ -143,7 +149,7 @@ def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
     info = PacketInfo(omega=float(spec.omega), momentum=k,
                       velocity=v, bandwidth=v / spec.sigma,
                       messages=messages)
-    return state, info
+    return state, info, discarded
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +274,9 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     most one step, each followed by a snapshot, after the one at t = 0.
     ``measure_nk`` stores windowed momentum occupations on every snapshot,
     the first and last serving as the run's initial and final ones; each
-    costs a one-body correlator.
+    costs a one-body correlator.  A snapshot's ``discarded`` counts the
+    launch truncation and every step before it, and the run warns once if
+    its total passes `TRUNCATION_BUDGET`, however it is split into calls.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -276,7 +284,8 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     if gs is None or gs_energy is None:
         say("solving ground state")
         gs_energy, gs, _ = embedded_ground_state(params)
-    state, info = prepare_input(gs, params, spec, max_rank, cutoff)
+    state, info, launch_discarded = prepare_input(gs, params, spec,
+                                                  max_rank, cutoff)
     say(f"packet at k={info.momentum:+.4f}, v={info.velocity:.4f}")
 
     number_ops = photon_number_ops(params)
@@ -315,7 +324,7 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     gates = trotter_gates(params, dt, order=order)
     n_steps = max(1, round(t_final / dt))
     n_chunks = min(max(1, n_snapshots), n_steps)
-    snapshots = [snap(0.0, state, 0.0)]
+    snapshots = [snap(0.0, state, launch_discarded)]
     n_k0 = snapshots[0].n_k if measure_nk else \
         momentum_occupations(state, params, window)[1]
     # a clipped launch tail may sit at an edge from the start; per-edge
@@ -323,7 +332,7 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     edge_base = edge_weights(snapshots[0].n_x)
     flags = []
     edge_time = None
-    kept = 1.0
+    kept = 1.0 - launch_discarded         # one ledger, launch included
     done = 0
     for c in range(1, n_chunks + 1):
         # n_chunks chunks whose sizes differ by at most one step
@@ -340,6 +349,10 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
             if edge_time is None:
                 edge_time = s.t
         say(f"t={s.t:7.1f}  bond={s.max_bond}  discarded={s.discarded:.2e}")
+    if 1.0 - kept > TRUNCATION_BUDGET:
+        warnings.warn(f"accumulated truncation weight {1.0 - kept:.3e} "
+                      f"exceeds the budget {TRUNCATION_BUDGET:.0e}; "
+                      "raise max_rank", stacklevel=2)
 
     n_k1 = snapshots[-1].n_k if measure_nk else \
         momentum_occupations(state, params, window)[1]

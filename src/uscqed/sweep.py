@@ -5,14 +5,15 @@ Bound states and the embedded ground state are solved once per coupling and
 shared read-only by that coupling's runs; each run appends its row
 atomically, so an interrupted sweep resumes by skipping every coordinate
 already present for the same config hash.  Run failures become rows with
-an error flag instead of aborting the sweep.
+an error flag instead of aborting the sweep.  Every file a command writes
+is named and formatted here: tables and metadata by `output_path` and
+`write_table`, run sidecars by `run_point`.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import itertools
 import json
 import os
@@ -30,13 +31,6 @@ from .model import ModelParams
 
 # |T + R + P_ine - 1| beyond this marks a row as violating flux balance.
 BALANCE_TOLERANCE = 0.05
-
-COLUMNS = ["run_id", "g", "omega_in", "k_in", "T", "R", "p_elastic",
-           "p_inelastic", "p_inelastic_t", "p_inelastic_r", "omega_out",
-           "omega_out_expected", "gap", "raman_threshold", "gs_energy",
-           "D", "n_max", "dt", "total_discarded", "flags", "wall_time",
-           "config_hash", "sidecar"]
-
 
 @dataclass
 class ResultRow:
@@ -65,6 +59,9 @@ class ResultRow:
     sidecar: str = ""
 
 
+COLUMNS = [f.name for f in dataclasses.fields(ResultRow)]
+
+
 def fmt(value) -> str:
     """Canonical cell text; floats at 17 significant digits round-trip."""
     if isinstance(value, str):
@@ -76,24 +73,41 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _row_line(row: ResultRow) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(
-        [fmt(getattr(row, c)) for c in COLUMNS])
-    return buf.getvalue()
+def write_table(path: str, columns, rows) -> None:
+    """CSV at ``path``: the ``columns`` header, then one line per row.
+
+    Every cell goes through `fmt`.  Every table a command writes whole
+    comes from here; `_append_row` adds the sweep and scatter rows one at
+    a time.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([fmt(v) for v in r] for r in rows)
+
+
+def output_path(config: RunConfig, stem: str, ext: str) -> str:
+    """``<directory>/<stem>_<config hash>.<ext>``, the directory made.
+
+    Every table and metadata file a command writes is named here; the
+    per-run sidecars are named by `run_point`.
+    """
+    os.makedirs(config.outputs.directory, exist_ok=True)
+    return os.path.join(config.outputs.directory,
+                        f"{stem}_{config_hash(config)}.{ext}")
 
 
 def _append_row(path: str, row: ResultRow) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_row_line(row))
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(
+            [fmt(getattr(row, c)) for c in COLUMNS])
         fh.flush()
         os.fsync(fh.fileno())
 
 
 def _ensure_header(path: str) -> None:
     if not os.path.exists(path) or os.path.getsize(path) == 0:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(COLUMNS)
+        write_table(path, COLUMNS, ())
 
 
 def read_rows(path: str) -> list:
@@ -115,8 +129,7 @@ def read_rows(path: str) -> list:
 
 
 def sweep_path(config: RunConfig) -> str:
-    return os.path.join(config.outputs.directory,
-                        f"sweep_{config_hash(config)}.csv")
+    return output_path(config, "sweep", "csv")
 
 
 def _grid(config: RunConfig):
@@ -177,13 +190,20 @@ def _sidecar_payload(row: ResultRow, result, ts, ine, extra) -> dict:
     return payload
 
 
-def run_point(config: RunConfig, run_id: str, g: float, omega: float,
-              gap: float, gs, gs_energy: float, sidecar_path: str = None,
-              measure_nk: bool = False, strict: bool = False) -> ResultRow:
-    """One scattering run reduced to a ResultRow.
+def _run_id(config: RunConfig, i: int) -> str:
+    return f"{config_hash(config)[:8]}-{i:03d}"
 
-    Exceptions become error rows unless ``strict``; single-run callers set
-    ``strict`` so failures surface with their own type.
+
+def run_point(config: RunConfig, i: int, g: float, omega: float, gap: float,
+              gs, gs_energy: float, measure_nk: bool = False,
+              strict: bool = False) -> ResultRow:
+    """Grid point ``i`` (see `_grid`) as one scattering run, reduced to a row.
+
+    The row's run id is ``<hash[:8]>-<i:03d>``, and a successful run also
+    writes its sidecar JSON ``run_<hash>_<i:03d>.json`` beside the tables,
+    named in the row's ``sidecar`` column.  Exceptions become error rows
+    unless ``strict``; single-run callers set ``strict`` so failures
+    surface with their own type.
     """
     t0 = time.perf_counter()
     evo = config.evolution
@@ -223,8 +243,8 @@ def run_point(config: RunConfig, run_id: str, g: float, omega: float,
         if abs(balance - 1.0) > BALANCE_TOLERANCE:
             flags.append(f"flux balance off by {balance - 1.0:+.3f}")
         row = ResultRow(
-            run_id=run_id, g=g, omega_in=omega_in, k_in=k_in, T=T, R=R,
-            p_elastic=ine.p_elastic, p_inelastic=ine.p_inelastic,
+            run_id=_run_id(config, i), g=g, omega_in=omega_in, k_in=k_in,
+            T=T, R=R, p_elastic=ine.p_elastic, p_inelastic=ine.p_inelastic,
             p_inelastic_t=ine.p_inelastic_t, p_inelastic_r=ine.p_inelastic_r,
             omega_out=ine.omega_out,
             omega_out_expected=ine.omega_out_expected, gap=gap,
@@ -232,28 +252,28 @@ def run_point(config: RunConfig, run_id: str, g: float, omega: float,
             gs_energy=gs_energy, D=evo.max_rank, n_max=params.n_max,
             dt=evo.dt, total_discarded=result.snapshots[-1].discarded,
             flags="; ".join(flags), wall_time=time.perf_counter() - t0,
-            config_hash=chash)
-        if sidecar_path is not None:
-            with open(sidecar_path, "w", encoding="utf-8") as fh:
-                json.dump(_sidecar_payload(row, result, ts, ine, extra), fh)
-            row.sidecar = os.path.basename(sidecar_path)
+            config_hash=chash, sidecar=f"run_{chash}_{i:03d}.json")
+        os.makedirs(config.outputs.directory, exist_ok=True)
+        with open(os.path.join(config.outputs.directory, row.sidecar), "w",
+                  encoding="utf-8") as fh:
+            json.dump(_sidecar_payload(row, result, ts, ine, extra), fh)
         return row
     except Exception as exc:  # record the failure, keep sweeping
         if strict:
             raise
-        return _error_row(config, run_id, g, omega,
+        return _error_row(config, i, g, omega,
                           f"error: {type(exc).__name__}: {exc}",
                           gap=gap, gs_energy=gs_energy,
                           wall_time=time.perf_counter() - t0)
 
 
-def _error_row(config: RunConfig, run_id: str, g: float, omega: float,
+def _error_row(config: RunConfig, i: int, g: float, omega: float,
                flags: str, gap: float = None, gs_energy: float = None,
                wall_time: float = 0.0) -> ResultRow:
-    """Row of a point that produced no result; ``flags`` says why."""
+    """Row of grid point ``i`` that produced no result; ``flags`` says why."""
     nan = float("nan")
     return ResultRow(
-        run_id=run_id, g=g, omega_in=omega, k_in=nan, T=nan, R=nan,
+        run_id=_run_id(config, i), g=g, omega_in=omega, k_in=nan, T=nan, R=nan,
         p_elastic=nan, p_inelastic=nan, p_inelastic_t=nan, p_inelastic_r=nan,
         omega_out=nan, omega_out_expected=nan,
         gap=nan if gap is None else gap, raman_threshold=nan,
@@ -274,7 +294,6 @@ def sweep(config: RunConfig, progress=None) -> list:
     row is deleted from the CSV.
     """
     say = progress or (lambda s: None)
-    os.makedirs(config.outputs.directory, exist_ok=True)
     path = sweep_path(config)
     _ensure_header(path)
     chash = config_hash(config)
@@ -287,7 +306,6 @@ def sweep(config: RunConfig, progress=None) -> list:
     if not todo:
         return done_rows
 
-    want_sidecar = "json" in config.outputs.formats
     new_rows = []
     for g, items in itertools.groupby(todo, key=lambda item: item[1]):
         say(f"g={g:g}: solving bound states and ground state")
@@ -298,14 +316,10 @@ def sweep(config: RunConfig, progress=None) -> list:
         except Exception as exc:
             failure = f"error: bound states failed: {exc}"
         for i, _, omega in items:
-            run_id = f"{chash[:8]}-{i:03d}"
             if failure is not None:
-                row = _error_row(config, run_id, g, omega, failure)
+                row = _error_row(config, i, g, omega, failure)
             else:
-                side = os.path.join(config.outputs.directory,
-                                    f"run_{chash}_{i:03d}.json") \
-                    if want_sidecar else None
-                row = run_point(config, run_id, g, omega, gap, gs, e_gs, side)
+                row = run_point(config, i, g, omega, gap, gs, e_gs)
             _append_row(path, row)
             new_rows.append(row)
             say(f"  row {row.run_id}: omega={row.omega_in:.4g} "
@@ -402,11 +416,7 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
 
 
 def write_convergence_csv(study: ConvergenceStudy, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["D", "n_max", "T_max", "max_dev_prev", "unphysical",
-                    "flags", "wall_time", "config_hash"])
-        for r in study.rows:
-            w.writerow([fmt(r.D), fmt(r.n_max), fmt(r.T_max),
-                        fmt(r.max_dev_prev), fmt(r.unphysical), r.flags,
-                        fmt(r.wall_time), study.config_hash])
+    fields = [f.name for f in dataclasses.fields(ConvergenceRow)]
+    write_table(path, fields + ["config_hash"],
+                ([getattr(r, f) for f in fields] + [study.config_hash]
+                 for r in study.rows))

@@ -2,8 +2,12 @@
 in-process through `cli.main`."""
 
 import csv
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +132,48 @@ def test_ground_state_command_writes_the_energy_a_sweep_uses(tmp_path):
     meta = tmp_path / "out" / f"ground-state_{config_hash(cfg)}.meta.json"
     e_gs = json.loads(meta.read_text(encoding="utf-8"))["E_GS"]
     assert e_gs == sw.bound_data(cfg.model)[2]
+
+
+def test_scatter_solves_at_the_coupling_it_runs(tmp_path):
+    # the run's coupling is the grid's first g, not the base model's
+    path = write_config(tmp_path, model={"L": 24, "j0": 12, "g": 0.3},
+                        packet={"sigma": 1.5, "x0": 4.0},
+                        evolution={"t_final": 4.0}, sweep={"g": [0.9]})
+    assert cli.main(["scatter", "--config", path, "--quiet"]) \
+        in (cli.EXIT_OK, cli.EXIT_FLAGGED)
+    cfg = parse_config(path)
+    meta = tmp_path / "out" / f"scatter_{config_hash(cfg)}.meta.json"
+    row = json.loads(meta.read_text(encoding="utf-8"))["row"]
+    gap, _, e_gs = sw.bound_data(dataclasses.replace(cfg.model, g=0.9))
+    assert (row["g"], row["gap"], row["gs_energy"]) == (0.9, gap, e_gs)
+
+
+HELP_PROBE = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+from uscqed import cli
+loaded = {}
+for command in sys.argv[1:]:
+    with redirect_stdout(StringIO()):
+        try:
+            cli.main([*command.split(), "--help"])
+        except SystemExit:
+            pass
+    loaded[command] = [m for m in ("numpy", "scipy") if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_help_loads_no_numpy():
+    # the handlers import the heavy modules, so every --help stays instant
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    commands = ["", *COMMANDS, "oracle", "plot"]
+    out = subprocess.run([sys.executable, "-c", HELP_PROBE, *commands],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {c: [] for c in commands}
 
 
 def test_unconverged_solve_is_an_invalid_run(tmp_path, capsys, monkeypatch):

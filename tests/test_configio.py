@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from uscqed import cli
 from uscqed import config as C
 from uscqed.errors import ConfigError
 
@@ -174,6 +175,12 @@ def test_carriers_are_checked_at_parse_time():
         parse(sweep={"omega_in": [1.0, 0.2]})
 
 
-def test_formats_are_validated():
-    with pytest.raises(ConfigError, match="unknown format"):
-        C.from_dict({"preset": "desk", "outputs": {"formats": ["yaml"]}})
+def test_formats_are_validated(tmp_path, capsys):
+    # every command writes its CSV and its JSON: there is no format knob
+    data = {"preset": "desk", "outputs": {"formats": ["csv", "json"]}}
+    with pytest.raises(ConfigError, match="unknown key outputs.formats"):
+        C.from_dict(data)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "unknown key outputs.formats" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from denseref import DenseModel, mps_to_vec, random_mps
 from uscqed import evolution as ev
 from uscqed import model as M
+from uscqed import scattering as sc
 from uscqed.errors import ConvergenceError, NumericError
 from uscqed.mps import MPS, norm, overlap, product_state
 
@@ -84,11 +85,45 @@ def test_truncation_accounting_matches_norm_loss():
                                            abs=1e-10)
 
 
-def test_truncation_budget_warning():
-    p = M.ModelParams(L=6, g=1.2, j0=2, n_max=2)
-    gates = M.trotter_gates(p, dt=0.1, order=2)
-    with pytest.warns(UserWarning, match="truncation"):
-        ev.evolve(photon_at(p, 0), gates, 60, max_rank=1)
+# At bond dimension 2 this run, launch included, truncates away about 9% of
+# its weight, past the 5% budget, whatever number of evolve calls it takes.
+P_BUDGET = M.ModelParams(L=16, g=1.0, j0=8, n_max=2)
+
+
+@pytest.fixture(scope="module")
+def budget_ground():
+    e_gs, gs, _ = ev.embedded_ground_state(P_BUDGET)
+    return gs, float(e_gs)
+
+
+def run_over_budget(ground, n_snapshots):
+    """The run and the truncation warnings it raised."""
+    gs, e_gs = ground
+    spec = sc.WavepacketSpec(omega=1.0, sigma=1.5, x0=3.0)
+    with pytest.warns(UserWarning) as rec:     # the packet tail warns too
+        res = sc.run_scattering(P_BUDGET, spec, 80.0, dt=0.1, order=3,
+                                max_rank=2, cutoff=1e-10,
+                                n_snapshots=n_snapshots, exclude_radius=3,
+                                gs=gs, gs_energy=e_gs)
+    return res, [str(w.message) for w in rec
+                 if "truncation" in str(w.message)]
+
+
+def test_truncation_budget_warning(budget_ground):
+    res, warned = run_over_budget(budget_ground, 1)
+    assert len(warned) == 1
+    total = res.snapshots[-1].discarded
+    assert total > sc.TRUNCATION_BUDGET
+    assert f"{total:.3e}" in warned[0]
+
+
+@pytest.mark.parametrize("n_snapshots", [4, 20])
+def test_truncation_budget_covers_the_run_however_chunked(budget_ground,
+                                                          n_snapshots):
+    res, warned = run_over_budget(budget_ground, n_snapshots)
+    assert len(warned) == 1
+    # the ledger opens with the launch truncation
+    assert res.snapshots[0].discarded > 0
 
 
 def test_full_coupling_vacuum_matches_dense_propagator():
@@ -245,7 +280,7 @@ def test_returned_state_is_right_canonical_after_order3_truncation():
     state = random_mps(np.random.default_rng(6), p.L, p.local_dims(), 4)
     gates = M.trotter_gates(p, dt=0.1, order=3)
     out, trace = ev.evolve(state, gates, 10, max_rank=4)
-    assert 1e-6 < trace.total_discarded < ev.TRUNCATION_BUDGET
+    assert 1e-6 < trace.total_discarded < sc.TRUNCATION_BUDGET
     assert out.ortho_center == 0
     for b in out.sites[1:]:
         m = b.reshape(b.shape[0], -1)

@@ -38,7 +38,7 @@ def test_fig4_and_fig5_from_a_two_coupling_sweep(tmp_path):
         names = {os.path.basename(p) for p in paths}
         assert {f"{fig}.gp", f"{fig}_data.csv", overlay,
                 f"{fig}_gaps.txt"} <= names
-        assert gaps == ["run r2: no sidecar (rerun with json output)"]
+        assert gaps == ["run r2: no sidecar (delete its row and rerun)"]
         script = (out / f"{fig}.gp").read_text(encoding="utf-8")
         assert f"'{fig}_data.csv'" in script and overlay in script
         data = (out / f"{fig}_data.csv").read_text(encoding="utf-8")

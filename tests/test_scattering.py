@@ -62,8 +62,9 @@ def test_wavepacket_spec_momentum_route():
 def test_prepare_input_flips_parity_and_normalizes():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state, info = sc.prepare_input(vacuum(P_FREE), P_FREE, SPEC_FREE,
-                                       max_rank=8)
+        state, info, discarded = sc.prepare_input(vacuum(P_FREE), P_FREE,
+                                                  SPEC_FREE, max_rank=8)
+    assert 0.0 <= discarded < 1e-12   # only the cutoff's tail goes
     assert M.parity_expectation(state, P_FREE) == pytest.approx(-1.0, abs=1e-10)
     assert info.momentum > 0
     assert info.omega == pytest.approx(1.0)
@@ -85,7 +86,8 @@ def test_prepare_input_rejects_packet_on_scatterer():
 def test_prepare_input_warns_on_marginal_cloud_overlap():
     spec = sc.WavepacketSpec(omega=1.0, sigma=4.0, x0=P_FREE.j0 - 12.0)
     with pytest.warns(UserWarning, match="scatterer site"):
-        _, info = sc.prepare_input(vacuum(P_FREE), P_FREE, spec, max_rank=8)
+        _, info, _ = sc.prepare_input(vacuum(P_FREE), P_FREE, spec,
+                                      max_rank=8)
     assert info.messages
 
 

@@ -1,5 +1,6 @@
 """Sweep orchestration: rows, resume, per-row failures, convergence."""
 
+import json
 import math
 
 import numpy as np
@@ -91,7 +92,8 @@ def test_single_point_sweep_matches_direct_run(free_sweep):
     assert len(rows) == 1
     row = rows[0]
     gap, gs, e_gs = sw.bound_data(cfg.model)
-    direct = sw.run_point(cfg, "direct", 0.0, 1.0, gap, gs, e_gs)
+    direct = sw.run_point(cfg, 0, 0.0, 1.0, gap, gs, e_gs)
+    assert (direct.run_id, direct.sidecar) == (row.run_id, row.sidecar)
     assert direct.T == pytest.approx(row.T, abs=1e-12)
     assert direct.R == pytest.approx(row.R, abs=1e-12)
     assert direct.p_inelastic == pytest.approx(row.p_inelastic, abs=1e-12)
@@ -117,16 +119,36 @@ def test_resume_recomputes_nothing_and_keeps_bytes(free_sweep):
     assert again[0].T == rows[0].T
 
 
-def test_run_failures_are_recorded_per_row(tmp_path, monkeypatch):
-    cfg = make_config(tmp_path, sweep={"omega_in": [0.9, 1.1]})
+def fail_at(omega, monkeypatch):
+    """Make the run at carrier ``omega`` raise; the others run for real."""
     real = sw.sc.run_scattering
 
     def flaky(params, spec, *a, **kw):
-        if spec.omega == 0.9:
+        if spec.omega == omega:
             raise RuntimeError("synthetic failure")
         return real(params, spec, *a, **kw)
 
     monkeypatch.setattr(sw.sc, "run_scattering", flaky)
+
+
+def test_sweep_writes_a_sidecar_for_every_row_that_ran(tmp_path,
+                                                        monkeypatch):
+    cfg = make_config(tmp_path, sweep={"omega_in": [0.9, 1.1]})
+    fail_at(0.9, monkeypatch)
+    rows = sw.sweep(cfg)
+    chash = C.config_hash(cfg)
+    assert [r.run_id for r in rows] == [f"{chash[:8]}-000", f"{chash[:8]}-001"]
+    assert rows[0].flags.startswith("error") and rows[0].sidecar == ""
+    assert rows[1].sidecar == f"run_{chash}_001.json"
+    assert sorted(p.name for p in tmp_path.glob("run_*.json")) \
+        == [rows[1].sidecar]
+    payload = json.loads((tmp_path / rows[1].sidecar).read_text("utf-8"))
+    assert payload["run_id"] == rows[1].run_id
+
+
+def test_run_failures_are_recorded_per_row(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, sweep={"omega_in": [0.9, 1.1]})
+    fail_at(0.9, monkeypatch)
     rows = sw.sweep(cfg)
     assert [r.omega_in for r in rows] == [0.9, 1.1]       # grid order
     by_omega = {r.omega_in: r for r in rows}
@@ -135,7 +157,7 @@ def test_run_failures_are_recorded_per_row(tmp_path, monkeypatch):
     assert by_omega[1.1].flags == ""
     assert by_omega[1.1].T == pytest.approx(1.0, abs=0.02)
     # error rows count as completed: nothing reruns on resume
-    monkeypatch.setattr(sw.sc, "run_scattering", real)
+    monkeypatch.undo()
     again = sw.sweep(cfg)
     assert len(again) == 2
     assert "synthetic failure" in {r.omega_in: r for r in again}[0.9].flags
