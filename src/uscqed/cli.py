@@ -4,7 +4,7 @@ Every subcommand takes ``--config`` (a strict JSON file), ``--preset``, or
 both (the flag overrides the file's preset).  Heavy modules load inside the
 handlers so ``--help`` stays instant.  Exit codes: 0 success, 2 config
 error, 3 resource error, 4 results carrying validity flags or an invalid
-run (non-finite data, a missing input, a solve that did not converge).
+run (non-finite data, a solve that did not converge).
 
 The configured commands write into the output directory: tables and
 metadata named ``<stem>_<hash>.<ext>`` by `sweep.output_path` from the
@@ -15,8 +15,10 @@ expanded config, and run sidecars named by `sweep.run_point`:
   the parity go in the meta JSON;
 * ``bound-states``: ``bound_states`` CSV, one row per coupling, repeated in
   the meta JSON;
-* ``scatter``: one row appended to the ``scatter`` CSV, repeated in the
-  meta JSON, and the run sidecar ``run_<hash>_000.json``;
+* ``scatter``: the ``scatter`` CSV, written whole with the one row of its
+  run, repeated in the meta JSON, and the run sidecar
+  ``run_<hash>_000.json`` (``run_<hash>_000_nk.json`` with ``--nk-series``,
+  so a later sweep keeps the series);
 * ``sweep``: the resumable ``sweep`` CSV and one sidecar
   ``run_<hash>_<i>.json`` per grid point that ran without error;
 * ``converge``: ``convergence`` CSV, one row per (D, n_max), and
@@ -34,7 +36,7 @@ import sys
 import time
 
 from .errors import (BandEdgeError, ConfigError, ConvergenceError,
-                     DependencyError, NumericError, ResourceError)
+                     NumericError, ResourceError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,8 +125,8 @@ def cmd_bound_states(args) -> int:
 def cmd_scatter(args) -> int:
     import dataclasses
 
-    from .sweep import (_append_row, _ensure_header, _grid, bound_data,
-                        output_path, run_point)
+    from .sweep import (COLUMNS, _grid, bound_data, output_path, run_point,
+                        write_table)
 
     cfg = _load_config(args)
     say = _say(args)
@@ -135,8 +137,7 @@ def cmd_scatter(args) -> int:
     row = run_point(cfg, 0, g, omega, gap, gs, e_gs,
                     measure_nk=args.nk_series, strict=True)
     path = output_path(cfg, "scatter", "csv")
-    _ensure_header(path)
-    _append_row(path, row)
+    write_table(path, COLUMNS, [[getattr(row, c) for c in COLUMNS]])
     say(f"wrote {path}")
     _write_metadata(cfg, "scatter", {"row": dataclasses.asdict(row)})
     print(f"omega_in={row.omega_in:.6g}  T={row.T:.6g}  R={row.R:.6g}  "
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
     except (ResourceError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (NumericError, DependencyError, ConvergenceError) as exc:
+    except (NumericError, ConvergenceError) as exc:
         print(f"invalid run: {exc}", file=sys.stderr)
         return EXIT_FLAGGED
     except KeyboardInterrupt:

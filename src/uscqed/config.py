@@ -64,47 +64,42 @@ class RunConfig:
 # Chains of 480 cavities with the scatterer at 240 and launch at 160
 # (inset geometry: wall 20 sites past the scatterer at 460, launch at 380);
 # sigma=2 packets are momentum-broad for spectra, sigma=20 momentum-sharp
-# for dynamics.
+# for dynamics.  Each preset sets only t_final of the stepper; the other
+# settings are `EvolutionParams`' defaults.
 PRESETS = {
     "desk": {
         "model": {"L": 120, "g": 0.7, "j0": 60, "n_max": 4},
         "packet": {"sigma": 10.0, "x0": 30.0, "omega": 0.85},
-        "evolution": {"dt": 0.05, "t_final": 110.0, "order": 3,
-                      "max_rank": 10, "cutoff": 1e-10},
+        "evolution": {"t_final": 110.0},
     },
     "paper-fig3": {
         "model": {"L": 480, "g": 0.7, "j0": 240, "n_max": 4},
         "packet": {"sigma": 20.0, "x0": 160.0, "omega": 0.85},
-        "evolution": {"dt": 0.05, "t_final": 420.0, "order": 3,
-                      "max_rank": 10, "cutoff": 1e-10},
+        "evolution": {"t_final": 420.0},
         "sweep": {"omega_in": [0.70, 0.85]},
     },
     "paper-fig4": {
         "model": {"L": 480, "g": 0.7, "j0": 240, "n_max": 4},
         "packet": {"sigma": 2.0, "x0": 160.0, "omega": 1.0},
-        "evolution": {"dt": 0.05, "t_final": 420.0, "order": 3,
-                      "max_rank": 10, "cutoff": 1e-10},
+        "evolution": {"t_final": 420.0},
         "sweep": {"g": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]},
     },
     "paper-fig5": {
         "model": {"L": 480, "g": 0.7, "j0": 240, "n_max": 4},
         "packet": {"sigma": 2.0, "x0": 160.0, "omega": 1.0},
-        "evolution": {"dt": 0.05, "t_final": 420.0, "order": 3,
-                      "max_rank": 10, "cutoff": 1e-10},
+        "evolution": {"t_final": 420.0},
         "sweep": {"g": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]},
     },
     "paper-fig5-inset": {
         "model": {"L": 481, "g": 0.8, "j0": 460, "n_max": 4,
                   "boundary": "mirror", "mirror_dx": 20},
         "packet": {"sigma": 2.0, "x0": 380.0, "omega": 1.0},
-        "evolution": {"dt": 0.05, "t_final": 800.0, "order": 3,
-                      "max_rank": 10, "cutoff": 1e-10},
+        "evolution": {"t_final": 800.0},
     },
     "paper-fig6": {
         "model": {"L": 480, "g": 0.3, "j0": 240, "n_max": 4},
         "packet": {"sigma": 20.0, "x0": 160.0, "omega": 0.90},
-        "evolution": {"dt": 0.05, "t_final": 420.0, "order": 3,
-                      "max_rank": 10, "cutoff": 1e-10},
+        "evolution": {"t_final": 420.0},
         "sweep": {"g": [0.30, 0.40, 0.45, 0.55]},
     },
 }

@@ -2,7 +2,8 @@
 
 Argument abuse raises plain ``ValueError``; the classes below mark failure
 modes callers may want to catch and handle individually (the CLI maps them
-to exit codes).
+to exit codes).  An input a computation needs, such as the bound-state gap
+of the inelastic analyses, is a required parameter, not a checked default.
 """
 
 
@@ -24,10 +25,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class DependencyError(RuntimeError):
-    """A required precomputed input (e.g. a bound-state energy) is missing."""
 
 
 class BandEdgeError(ValueError):

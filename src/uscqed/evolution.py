@@ -6,9 +6,11 @@ of tensors in Hastings' form (Vidal, PRL 93, 040502 (2004); Hastings,
 J. Math. Phys. 50, 095207 (2009)): sites B that are right-canonical, and
 the singular values lambda of every bond.
 
-- Entry: the gauge is built exactly, once per call.  The center goes to the
-  last site and one right-to-left sweep of `tensors.split_matrix` gives B
-  and lambda; a non-finite state raises `NumericError` there.
+- Entry: the gauge is built exactly, once per call, by the sweep of
+  `mps.compress` at full rank (`mps._right_sweep`, cutoff 0): the center
+  goes to the last site and one right-to-left sweep of
+  `tensors.split_matrix` gives B and lambda; a non-finite state raises
+  `NumericError` there.
 - Stage: the gates of a stage act on disjoint bonds, so they run at once.
   Theta = lambda B B is formed with the gate multiplied in by batched
   matmuls, one SVD launch splits all thetas of bonds whose sites share
@@ -63,8 +65,8 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, NumericError
 from .model import (ModelParams, TrotterGates, hamiltonian_mpo,
                     parity_expectation, parity_factors)
-from .mps import (MPS, _mpo_transfer, _transfer, canonicalize,
-                  mpo_expectation, normalize, product_state)
+from .mps import (MPS, _mpo_transfer, _right_sweep, _transfer,
+                  canonicalize, mpo_expectation, normalize, product_state)
 from .tensors import split_matrix, svd, truncation_rank, truncation_ranks
 
 # A bond-1 site counts as vacuum when its non-vacuum squared weight is at
@@ -95,7 +97,13 @@ SOLVE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class EvolutionParams:
-    """Time-stepping knobs bundled for configs and sweeps."""
+    """The time stepper's settings, for configs and sweeps.
+
+    This is the one home of the stepper defaults: dt, order, max_rank,
+    cutoff and n_snapshots have a default here and nowhere below it
+    (`scattering.run_scattering`, `evolve`, `model.trotter_gates`), and no
+    preset repeats one.
+    """
 
     dt: float = 0.05
     t_final: float = 110.0
@@ -150,27 +158,6 @@ def _near_vacuum(a) -> bool:
     v = a.ravel()
     rest = v[1:]
     return bool(np.vdot(rest, rest).real <= VACUUM_RTOL * abs(v[0]) ** 2)
-
-
-def _hastings_form(state: MPS):
-    """``(sites, lams)``, exact: every site but the first right-canonical,
-    ``lams[x]`` the singular values of the bond left of site x.
-
-    The center goes to the last site, and one right-to-left sweep of
-    `split_matrix` (which rejects non-finite entries) peels off the right
-    sites and their bond values.  Site 0 keeps the norm; ``lams[0]`` is 1.
-    """
-    sites = list(canonicalize(state, state.L - 1).sites)
-    lams = [np.ones(1)] * state.L
-    for x in range(state.L - 1, 0, -1):
-        l, d, r = sites[x].shape
-        m = sites[x].reshape(l, d * r)
-        u, lams[x], vh, _ = split_matrix(m, min(m.shape), 0.0)
-        sites[x] = vh.reshape(-1, d, r)
-        pl, pd, _ = sites[x - 1].shape
-        sites[x - 1] = (sites[x - 1].reshape(pl * pd, l)
-                        @ (u * lams[x])).reshape(pl, pd, -1)
-    return sites, lams
 
 
 def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
@@ -259,7 +246,7 @@ class EvolutionTrace:
 
 
 def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
-           cutoff: float = 1e-12):
+           cutoff: float):
     """Run ``n_steps`` Trotter steps; returns ``(state, trace)``.
 
     The steps run as one stage sequence: the last stage of each step and
@@ -290,7 +277,8 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
         # bonds back to back: one seam stage runs their product
         seam = (tuple(None if a is None else a @ b
                       for a, b in zip(first[0], last[0])), first[1])
-    sites, lams = _hastings_form(state)
+    # no bond exceeds the largest, so only the noise floor truncates here
+    sites, lams, _ = _right_sweep(state, state.max_bond, 0.0)
     vac = [_near_vacuum(a) for a in sites]
     trace = EvolutionTrace()
     for step in range(1, n_steps + 1):

@@ -268,7 +268,7 @@ def stage_coefficients(order: int):
 
 
 def trotter_gates(params: ModelParams, dt: float,
-                  order: int = 3) -> TrotterGates:
+                  order: int) -> TrotterGates:
     """Even/odd bond gates realizing exp(-i H dt) to the requested order."""
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import (BandEdgeError, ConfigError, DependencyError,
-                     NumericError)
+from .errors import BandEdgeError, ConfigError, NumericError
 from .evolution import embedded_ground_state, evolve
 from .model import (ModelParams, band_edges, dispersion, group_velocity,
                     hamiltonian_mpo, momentum_from_frequency,
@@ -114,7 +113,7 @@ class PacketInfo:
 
 
 def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
-                  max_rank: int, cutoff: float = 1e-12):
+                  max_rank: int, cutoff: float):
     """Create the packet on the ground state.
 
     Returns ``(state, info, discarded)``, ``discarded`` the squared weight
@@ -257,36 +256,35 @@ def analysis_window(params: ModelParams, exclude_radius: int) -> np.ndarray:
 
 
 def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
-                   dt: float = 0.05, order: int = 3, max_rank: int = 10,
-                   cutoff: float = 1e-10, n_snapshots: int = 40,
-                   gs: MPS = None, gs_energy: float = None,
+                   dt: float, order: int, max_rank: int, cutoff: float,
+                   n_snapshots: int, gs: MPS = None, gs_energy: float = None,
                    exclude_radius: int = 10, measure_energy: bool = False,
-                   measure_nk: bool = False, progress=None) -> ScatteringResult:
+                   measure_nk: bool = False) -> ScatteringResult:
     """Propagate one packet and collect everything the analyses need.
 
-    The ground state is computed here, with the solver's defaults, unless
-    both ``gs`` and ``gs_energy`` are supplied (pass them when scanning
-    carriers at fixed coupling).  Edge contamination is watched on both
-    chain ends for open boundaries but only on the far-from-wall end for
-    the mirror geometry, where bouncing off the wall is the point of the
-    experiment.  The steps run as
-    ``min(n_snapshots, n_steps)`` `evolve` calls whose sizes differ by at
-    most one step, each followed by a snapshot, after the one at t = 0.
-    ``measure_nk`` stores windowed momentum occupations on every snapshot,
-    the first and last serving as the run's initial and final ones; each
-    costs a one-body correlator.  A snapshot's ``discarded`` counts the
-    launch truncation and every step before it, and the run warns once if
-    its total passes `TRUNCATION_BUDGET`, however it is split into calls.
+    The stepper settings ``dt`` to ``n_snapshots`` have no defaults here:
+    callers pass them, most as ``**EvolutionParams.run_kwargs()``, so
+    `evolution.EvolutionParams` stays their one home.  The ground state is
+    computed here, with the solver's defaults, unless both ``gs`` and
+    ``gs_energy`` are supplied (pass them when scanning carriers at fixed
+    coupling).  Edge contamination is watched on both chain ends for open
+    boundaries but only on the far-from-wall end for the mirror geometry,
+    where bouncing off the wall is the point of the experiment.  The steps
+    run as ``min(n_snapshots, n_steps)`` `evolve` calls whose sizes differ
+    by at most one step, each followed by a snapshot, after the one at
+    t = 0.  ``measure_nk`` stores windowed momentum occupations on every
+    snapshot, the first and last serving as the run's initial and final
+    ones; each costs a one-body correlator.  A snapshot's ``discarded``
+    counts the launch truncation and every step before it, and the run
+    warns once if its total passes `TRUNCATION_BUDGET`, however it is split
+    into calls.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    say = progress or (lambda s: None)
     if gs is None or gs_energy is None:
-        say("solving ground state")
         gs_energy, gs, _ = embedded_ground_state(params)
     state, info, launch_discarded = prepare_input(gs, params, spec,
                                                   max_rank, cutoff)
-    say(f"packet at k={info.momentum:+.4f}, v={info.velocity:.4f}")
 
     number_ops = photon_number_ops(params)
     n_sc = scatterer_number(params)
@@ -348,7 +346,6 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
             flags.append(f"edge weight {ew:.1e} at t={s.t:g}")
             if edge_time is None:
                 edge_time = s.t
-        say(f"t={s.t:7.1f}  bond={s.max_bond}  discarded={s.discarded:.2e}")
     if 1.0 - kept > TRUNCATION_BUDGET:
         warnings.warn(f"accumulated truncation weight {1.0 - kept:.3e} "
                       f"exceeds the budget {TRUNCATION_BUDGET:.0e}; "
@@ -484,21 +481,16 @@ def _cloud_subtracted(result: ScatteringResult, n_k: np.ndarray) -> np.ndarray:
 
 
 def inelastic_spectrum(result: ScatteringResult,
-                       gap: float = None) -> InelasticResult:
+                       gap: float) -> InelasticResult:
     """Split the outgoing occupations into elastic and converted parts.
 
     ``gap`` is the bound-state excitation energy E2 - E_GS; the Raman line
-    is expected at the carrier minus that gap, and without it the split
-    cannot be labeled, hence the hard dependency.  The static cloud is
+    is expected at the carrier minus that gap.  The static cloud is
     subtracted first, occupations are normalized by the remaining photon
     number in the window, and the converted part is reported per direction
     from bins within `LINE_WIDTH` bandwidths of the expected line (carrier
     bins win when the two windows overlap at small gap).
     """
-    if gap is None:
-        raise DependencyError(
-            "inelastic analysis needs the bound-state gap (E2 - E_GS); "
-            "compute bound states first")
     p = result.params
     k = result.k_grid
     n_k = _cloud_subtracted(result, result.n_k_final)
@@ -597,8 +589,6 @@ def broadband_inelastic(result: ScatteringResult, gap: float):
     where ``omega - gap`` lies inside the packet's own band, whose elastic
     weight would be counted as converted.
     """
-    if gap is None:
-        raise DependencyError("broadband analysis needs the bound-state gap")
     omega_in, _, _, p_ine = _density_ratios(result, gap)
     return omega_in, p_ine
 
@@ -640,8 +630,6 @@ def mirror_reflection_spectrum(result: ScatteringResult, gap: float):
     incoming density is too thin, ``p_inelastic`` 0 where kinematically
     closed and NaN where ``omega - gap`` lies inside the packet's own band.
     """
-    if gap is None:
-        raise DependencyError("mirror analysis needs the bound-state gap")
     omega_in, closed, r_el, p_ine = _density_ratios(result, gap)
     p_ine[closed] = 0.0
     return omega_in, r_el, p_ine

@@ -77,8 +77,7 @@ def write_table(path: str, columns, rows) -> None:
     """CSV at ``path``: the ``columns`` header, then one line per row.
 
     Every cell goes through `fmt`.  Every table a command writes whole
-    comes from here; `_append_row` adds the sweep and scatter rows one at
-    a time.
+    comes from here; `_append_row` adds the sweep rows one at a time.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -201,7 +200,9 @@ def run_point(config: RunConfig, i: int, g: float, omega: float, gap: float,
 
     The row's run id is ``<hash[:8]>-<i:03d>``, and a successful run also
     writes its sidecar JSON ``run_<hash>_<i:03d>.json`` beside the tables,
-    named in the row's ``sidecar`` column.  Exceptions become error rows
+    named in the row's ``sidecar`` column; a run that measured the n_k
+    series writes ``run_<hash>_<i:03d>_nk.json`` instead, so a sweep of the
+    same config never overwrites the series.  Exceptions become error rows
     unless ``strict``; single-run callers set ``strict`` so failures
     surface with their own type.
     """
@@ -242,6 +243,7 @@ def run_point(config: RunConfig, i: int, g: float, omega: float, gap: float,
             flags.append(f"unphysical T={T:.4f}")
         if abs(balance - 1.0) > BALANCE_TOLERANCE:
             flags.append(f"flux balance off by {balance - 1.0:+.3f}")
+        suffix = "_nk" if measure_nk else ""
         row = ResultRow(
             run_id=_run_id(config, i), g=g, omega_in=omega_in, k_in=k_in,
             T=T, R=R, p_elastic=ine.p_elastic, p_inelastic=ine.p_inelastic,
@@ -252,7 +254,7 @@ def run_point(config: RunConfig, i: int, g: float, omega: float, gap: float,
             gs_energy=gs_energy, D=evo.max_rank, n_max=params.n_max,
             dt=evo.dt, total_discarded=result.snapshots[-1].discarded,
             flags="; ".join(flags), wall_time=time.perf_counter() - t0,
-            config_hash=chash, sidecar=f"run_{chash}_{i:03d}.json")
+            config_hash=chash, sidecar=f"run_{chash}_{i:03d}{suffix}.json")
         os.makedirs(config.outputs.directory, exist_ok=True)
         with open(os.path.join(config.outputs.directory, row.sidecar), "w",
                   encoding="utf-8") as fh:

@@ -148,6 +148,27 @@ def test_scatter_solves_at_the_coupling_it_runs(tmp_path):
     assert (row["g"], row["gap"], row["gs_energy"]) == (0.9, gap, e_gs)
 
 
+def test_sweep_keeps_the_n_k_series_of_a_scatter_run(tmp_path):
+    path = write_config(tmp_path, model={"L": 24, "j0": 12, "g": 0.3},
+                        packet={"sigma": 1.5, "x0": 4.0},
+                        evolution={"t_final": 4.0})
+    for command in (["scatter", "--nk-series"], ["scatter", "--nk-series"],
+                    ["sweep"]):
+        assert cli.main([*command, "--config", path, "--quiet"]) \
+            in (cli.EXIT_OK, cli.EXIT_FLAGGED)
+    chash = config_hash(parse_config(path))
+    out = tmp_path / "out"
+    with open(out / f"scatter_{chash}.csv", encoding="utf-8",
+              newline="") as fh:
+        (row,) = csv.DictReader(fh)     # written whole: one run, one row
+    assert row["sidecar"] == f"run_{chash}_000_nk.json"
+    series = json.loads((out / row["sidecar"]).read_text(encoding="utf-8"))
+    assert len(series["n_k_t"]) == len(series["times"])
+    plain = json.loads((out / f"run_{chash}_000.json").read_text(
+        encoding="utf-8"))
+    assert "n_k_t" not in plain
+
+
 HELP_PROBE = """
 import json, sys
 from contextlib import redirect_stdout

@@ -110,6 +110,26 @@ def test_hash_ignores_outputs_and_preset_spelling():
     assert C.config_hash(d) != C.config_hash(a)
 
 
+def test_preset_hashes_are_pinned():
+    # a changed hash orphans every sweep row resumed under it; fig4 and
+    # fig5 are one physics, so one sweep serves both figures
+    assert {name: C.config_hash(C.preset_config(name))
+            for name in C.PRESETS} == {
+        "desk": "79384e2768a64025",
+        "paper-fig3": "af4b468bde5c09d5",
+        "paper-fig4": "d1a940cd4592c0c3",
+        "paper-fig5": "d1a940cd4592c0c3",
+        "paper-fig5-inset": "5c73ba7fb1f2fc7a",
+        "paper-fig6": "7ed2ab51fd2c3d62",
+    }
+
+
+def test_presets_set_only_the_run_length_of_the_stepper():
+    # every other stepper setting is EvolutionParams' default
+    assert all(set(p["evolution"]) == {"t_final"}
+               for p in C.PRESETS.values())
+
+
 def test_round_trip_through_plain_dicts():
     cfg = C.preset_config("paper-fig5-inset")
     again = C.from_dict(C.to_dict(cfg))

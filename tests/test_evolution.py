@@ -11,7 +11,7 @@ from uscqed import evolution as ev
 from uscqed import model as M
 from uscqed import scattering as sc
 from uscqed.errors import ConvergenceError, NumericError
-from uscqed.mps import MPS, norm, overlap, product_state
+from uscqed.mps import MPS, compress, norm, overlap, product_state
 
 
 def dense_h(params):
@@ -51,7 +51,7 @@ def test_order2_norm_and_parity_conserved_without_truncation():
     p = P_SMALL
     state = photon_at(p, 0)
     gates = M.trotter_gates(p, dt=0.05, order=2)
-    out, trace = ev.evolve(state, gates, 50, max_rank=16)
+    out, trace = ev.evolve(state, gates, 50, max_rank=16, cutoff=1e-12)
     assert abs(norm(out) - 1.0) < 1e-10
     assert trace.total_discarded < 1e-10   # only cutoff-level noise
     assert M.parity_expectation(out, p) == pytest.approx(-1.0, abs=1e-12)
@@ -61,7 +61,7 @@ def test_rwa_conserves_total_excitations():
     p = M.ModelParams(L=4, g=0.5, j0=1, n_max=1, coupling_mode="rwa")
     state = photon_at(p, 0)
     gates = M.trotter_gates(p, dt=0.05, order=2)
-    out, _ = ev.evolve(state, gates, 40, max_rank=16)
+    out, _ = ev.evolve(state, gates, 40, max_rank=16, cutoff=1e-12)
     assert M.total_excitations(out, p) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -69,7 +69,7 @@ def test_full_coupling_does_not_conserve_excitations():
     p = M.ModelParams(L=4, g=0.8, j0=1, n_max=2)
     state = product_state(p.local_dims(), [0, 0, 0, 0])
     gates = M.trotter_gates(p, dt=0.05, order=2)
-    out, _ = ev.evolve(state, gates, 40, max_rank=16)
+    out, _ = ev.evolve(state, gates, 40, max_rank=16, cutoff=1e-12)
     assert M.total_excitations(out, p) > 1e-3   # vacuum dresses up
     assert M.parity_expectation(out, p) == pytest.approx(1.0, abs=1e-12)
 
@@ -79,7 +79,7 @@ def test_truncation_accounting_matches_norm_loss():
     p = M.ModelParams(L=6, g=1.0, j0=2, n_max=2)
     state = photon_at(p, 0)
     gates = M.trotter_gates(p, dt=0.1, order=2)
-    out, trace = ev.evolve(state, gates, 30, max_rank=3)
+    out, trace = ev.evolve(state, gates, 30, max_rank=3, cutoff=1e-12)
     assert trace.total_discarded > 1e-12
     assert norm(out) ** 2 == pytest.approx(1.0 - trace.total_discarded,
                                            abs=1e-10)
@@ -159,7 +159,7 @@ def test_gate_counts_cover_every_scheduled_gate():
     gates = M.trotter_gates(p, dt=0.1, order=3)
     scheduled = sum(g is not None for st in gates.stages for g in st.gates)
     steps = 20
-    _, trace = ev.evolve(state, gates, steps, max_rank=8)
+    _, trace = ev.evolve(state, gates, steps, max_rank=8, cutoff=1e-12)
     # consecutive steps share one seam stage on the first stage's bonds
     first = sum(g is not None for g in gates.stages[0].gates)
     assert trace.gates_applied + trace.gates_skipped == 1580
@@ -238,7 +238,7 @@ def test_one_svd_launch_per_theta_shape_and_stage(monkeypatch):
     launches = counting_svd(monkeypatch)
     batched = False
     for stage in gates.stages:
-        sites, _ = ev._hastings_form(state)
+        sites = compress(state, 4, 0.0)[0].sites
         groups = {}
         for x, g in enumerate(stage.gates):
             if g is not None:
@@ -261,7 +261,7 @@ def test_stacked_svd_failure_falls_back_per_matrix(monkeypatch):
     p = M.ModelParams(L=10, g=0.8, j0=4, n_max=2)
     state = random_mps(np.random.default_rng(5), p.L, p.local_dims(), 4)
     gates = M.trotter_gates(p, dt=0.05, order=3)
-    want, _ = ev.evolve(state, gates, 3, max_rank=6)
+    want, _ = ev.evolve(state, gates, 3, max_rank=6, cutoff=1e-12)
     svd = np.linalg.svd
 
     def fails_on_stacks(a, *args, **kwargs):
@@ -270,7 +270,7 @@ def test_stacked_svd_failure_falls_back_per_matrix(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", fails_on_stacks)
-    got, _ = ev.evolve(state, gates, 3, max_rank=6)
+    got, _ = ev.evolve(state, gates, 3, max_rank=6, cutoff=1e-12)
     assert got.bond_dims == want.bond_dims
     assert np.linalg.norm(mps_to_vec(got) - mps_to_vec(want)) < 1e-10
 
@@ -279,7 +279,7 @@ def test_returned_state_is_right_canonical_after_order3_truncation():
     p = M.ModelParams(L=8, g=1.0, j0=3, n_max=2)
     state = random_mps(np.random.default_rng(6), p.L, p.local_dims(), 4)
     gates = M.trotter_gates(p, dt=0.1, order=3)
-    out, trace = ev.evolve(state, gates, 10, max_rank=4)
+    out, trace = ev.evolve(state, gates, 10, max_rank=4, cutoff=1e-12)
     assert 1e-6 < trace.total_discarded < sc.TRUNCATION_BUDGET
     assert out.ortho_center == 0
     for b in out.sites[1:]:
@@ -296,22 +296,22 @@ def test_non_finite_state_raises_numeric_error():
     bad = MPS(sites, ortho_center=0)
     gates = M.trotter_gates(p, dt=0.05, order=2)
     with pytest.raises(NumericError):
-        ev.evolve(bad, gates, 1, max_rank=8)
+        ev.evolve(bad, gates, 1, max_rank=8, cutoff=1e-12)
 
 
 def test_evolve_argument_validation():
     p = P_SMALL
     gates = M.trotter_gates(p, dt=0.05, order=2)
     with pytest.raises(ValueError):
-        ev.evolve(photon_at(p, 0), gates, -1, max_rank=8)
+        ev.evolve(photon_at(p, 0), gates, -1, max_rank=8, cutoff=1e-12)
     other = product_state([2, 2, 2, 2], [0, 0, 0, 0])
     with pytest.raises(ValueError):
-        ev.evolve(other, gates, 1, max_rank=8)
+        ev.evolve(other, gates, 1, max_rank=8, cutoff=1e-12)
     # steps merge through a seam only when first and last share their bonds
     even_odd = dataclasses.replace(gates, stages=gates.stages[:2])
-    ev.evolve(photon_at(p, 0), even_odd, 1, max_rank=8)
+    ev.evolve(photon_at(p, 0), even_odd, 1, max_rank=8, cutoff=1e-12)
     with pytest.raises(ValueError, match="one parity"):
-        ev.evolve(photon_at(p, 0), even_odd, 2, max_rank=8)
+        ev.evolve(photon_at(p, 0), even_odd, 2, max_rank=8, cutoff=1e-12)
 
 
 def test_energy_matches_dense_quadratic_form():

@@ -8,7 +8,6 @@ import pytest
 
 from uscqed import model as M
 from uscqed import scattering as sc
-from uscqed.errors import DependencyError
 from uscqed.evolution import evolve
 from uscqed.mps import (apply_mpo, expectation_local, normalize, product_state,
                         site_expectations)
@@ -63,7 +62,8 @@ def test_prepare_input_flips_parity_and_normalizes():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         state, info, discarded = sc.prepare_input(vacuum(P_FREE), P_FREE,
-                                                  SPEC_FREE, max_rank=8)
+                                                  SPEC_FREE, max_rank=8,
+                                                  cutoff=1e-12)
     assert 0.0 <= discarded < 1e-12   # only the cutoff's tail goes
     assert M.parity_expectation(state, P_FREE) == pytest.approx(-1.0, abs=1e-10)
     assert info.momentum > 0
@@ -73,21 +73,22 @@ def test_prepare_input_flips_parity_and_normalizes():
     left = sc.prepare_input(
         vacuum(P_FREE), P_FREE,
         sc.WavepacketSpec(omega=1.0, sigma=4.0, x0=10.0, direction=-1),
-        max_rank=8)[1]
+        max_rank=8, cutoff=1e-12)[1]
     assert left.momentum < 0
 
 
 def test_prepare_input_rejects_packet_on_scatterer():
     spec = sc.WavepacketSpec(omega=1.0, sigma=4.0, x0=float(P_FREE.j0))
     with pytest.raises(ValueError, match="scatterer site"):
-        sc.prepare_input(vacuum(P_FREE), P_FREE, spec, max_rank=8)
+        sc.prepare_input(vacuum(P_FREE), P_FREE, spec, max_rank=8,
+                         cutoff=1e-12)
 
 
 def test_prepare_input_warns_on_marginal_cloud_overlap():
     spec = sc.WavepacketSpec(omega=1.0, sigma=4.0, x0=P_FREE.j0 - 12.0)
     with pytest.warns(UserWarning, match="scatterer site"):
         _, info, _ = sc.prepare_input(vacuum(P_FREE), P_FREE, spec,
-                                      max_rank=8)
+                                      max_rank=8, cutoff=1e-12)
     assert info.messages
 
 
@@ -262,7 +263,8 @@ def test_scatterer_population_comes_off_the_density_sweep():
 
 def test_run_scattering_rejects_bad_time():
     with pytest.raises(ValueError, match="t_final"):
-        sc.run_scattering(P_FREE, SPEC_FREE, t_final=0.0)
+        sc.run_scattering(P_FREE, SPEC_FREE, t_final=0.0, dt=0.1, order=3,
+                          max_rank=8, cutoff=1e-12, n_snapshots=4)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +329,6 @@ def test_inelastic_split_subtracts_cloud_background():
     polluted = sc.inelastic_spectrum(
         fake_result(p, spec, k, None, n1 + cloud), gap=0.5)
     assert polluted.p_inelastic > 0.1   # without subtraction the cloud leaks in
-
-
-def test_inelastic_requires_bound_state_gap():
-    p = M.ModelParams(L=64, g=0.7, j0=32, n_max=1)
-    spec = sc.WavepacketSpec(omega=1.0, sigma=8.0, x0=16.0)
-    res = fake_result(p, spec, synthetic_grid(), None, np.ones(1024))
-    with pytest.raises(DependencyError, match="bound-state gap"):
-        sc.inelastic_spectrum(res)
 
 
 def test_broadband_density_method_recovers_injected_ratio():
