@@ -283,9 +283,10 @@ def polariton_transmission(params: ModelParams, omega,
                            data: PolaritonData = None):
     """t(omega) of the two-polariton impurity embedded in the chain.
 
-    G(omega) = J sum_pm |alpha_pm|^2 / (gap_pm - omega) feeds the standard
-    single-impurity result t = 2iG sin k / (2 e^{ik} G - 1); exactly at a
-    pole the limit t = i sin k e^{-ik} is used.
+    G(omega) = J sum_pm |alpha_pm|^2 / (omega - gap_pm), J times the
+    block's photon Green's function, feeds the standard single-impurity
+    result t = 2iG sin k / (2 e^{ik} G - 1), which gives t = 1 for a bare
+    cavity site; exactly at a pole the limit t = i sin k e^{-ik} is used.
     """
     data = data or polariton_data(params)
     omega = np.asarray(omega, dtype=float)
@@ -298,8 +299,8 @@ def polariton_transmission(params: ModelParams, omega,
     for gap in data.gaps:
         at_pole |= np.abs(omega - gap) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_of = params.J * (data.alphas[0] ** 2 / (data.gaps[0] - omega)
-                           + data.alphas[1] ** 2 / (data.gaps[1] - omega))
+        g_of = params.J * (data.alphas[0] ** 2 / (omega - data.gaps[0])
+                           + data.alphas[1] ** 2 / (omega - data.gaps[1]))
         t = np.where(at_pole, 1j * sink * np.exp(-1j * k),
                      2j * g_of * sink / (2.0 * np.exp(1j * k) * g_of - 1.0))
     return t

@@ -2,8 +2,9 @@
 
 A run prepares ``sum_x phi_x adag_x |GS>`` (a Gaussian packet on top of the
 interacting ground state), propagates it with TEBD, and records per-snapshot
-densities, the elastic amplitude profile ``<GS| a_x |Psi(t)>``, and scalar
-diagnostics.  Spectra come from two complementary reductions:
+densities and scalar diagnostics, and the elastic amplitude profile
+``<GS| a_x |Psi(t)>`` once, on the last clean snapshot.  Spectra come from
+two complementary reductions:
 
 * elastic: windowed Fourier ratios of the amplitude profile against a
   free-chain reference packet, transmitted side for t(omega) and launch side
@@ -109,7 +110,6 @@ class PacketInfo:
     momentum: float
     velocity: float
     bandwidth: float          # frequency half-width v_g / sigma
-    messages: list
 
 
 def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
@@ -125,15 +125,14 @@ def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
     tails touching the chain ends are reported as warnings.
     """
     phi = check_packet(params, spec)
-    messages = []
     cloud = abs(phi[params.j0]) ** 2
     if cloud > 1e-6:
-        messages.append(f"packet tail {cloud:.1e} on the scatterer site")
+        warnings.warn(f"packet tail {cloud:.1e} on the scatterer site",
+                      stacklevel=2)
     tails = abs(phi[0]) ** 2 + abs(phi[-1]) ** 2
     if tails > 1e-2:
-        messages.append(f"packet weight {tails:.1e} clipped at the chain ends")
-    for msg in messages:
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(f"packet weight {tails:.1e} clipped at the chain ends",
+                      stacklevel=2)
 
     state, discarded = apply_mpo(gs, packet_creation_mpo(params, phi),
                                  max_rank, cutoff)
@@ -146,8 +145,7 @@ def prepare_input(gs: MPS, params: ModelParams, spec: WavepacketSpec,
     k = spec.carrier_momentum(params)
     v = abs(float(group_velocity(k, params)))
     info = PacketInfo(omega=float(spec.omega), momentum=k,
-                      velocity=v, bandwidth=v / spec.sigma,
-                      messages=messages)
+                      velocity=v, bandwidth=v / spec.sigma)
     return state, info, discarded
 
 
@@ -176,7 +174,7 @@ def photon_amplitude(gs: MPS, psi: MPS, params: ModelParams) -> np.ndarray:
     return local_matrix_elements(gs, psi, photon_annihilators(params))
 
 
-def momentum_occupations(state: MPS, params: ModelParams, sites=None):
+def momentum_occupations(state: MPS, params: ModelParams, sites):
     """Signed-k photon occupations over the selected ``sites``.
 
     Builds C_{xx'} = <adag_x a_x'> on the window and resolves it on a
@@ -184,8 +182,6 @@ def momentum_occupations(state: MPS, params: ModelParams, sites=None):
     photon number, and the sign of k keeps left- and right-movers apart.
     Returns ``(k, n_k)`` with k ascending in (-pi, pi].
     """
-    if sites is None:
-        sites = np.arange(params.L)
     sites = np.asarray(sites, dtype=int)
     if sites.size == 0:
         raise ValueError("empty site window")
@@ -206,14 +202,13 @@ def momentum_occupations(state: MPS, params: ModelParams, sites=None):
 class Snapshot:
     t: float
     n_x: np.ndarray            # photon density, scatterer cloud included
-    phi_x: np.ndarray          # <GS| a_x |Psi>, the elastic amplitude profile
     scatterer_population: float
-    parity: float
     norm: float
     discarded: float           # accumulated over the whole run so far
     max_bond: int
     energy: float = None       # <H>, recorded when measure_energy is set
     n_k: np.ndarray = None     # windowed occupations, when measure_nk is set
+    phi_x: np.ndarray = None   # <GS| a_x |Psi>, set on last_clean only
 
 
 @dataclass
@@ -274,10 +269,12 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     by at most one step, each followed by a snapshot, after the one at
     t = 0.  ``measure_nk`` stores windowed momentum occupations on every
     snapshot, the first and last serving as the run's initial and final
-    ones; each costs a one-body correlator.  A snapshot's ``discarded``
-    counts the launch truncation and every step before it, and the run
-    warns once if its total passes `TRUNCATION_BUDGET`, however it is split
-    into calls.
+    ones; each costs a one-body correlator.  The elastic amplitude
+    ``phi_x`` is taken once per run, on `ScatteringResult.last_clean`, the
+    one snapshot the spectra read; the other snapshots leave it ``None``.
+    A snapshot's ``discarded`` counts the launch truncation and every step
+    before it, and the run warns once if its total passes
+    `TRUNCATION_BUDGET`, however it is split into calls.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -300,9 +297,7 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
         return Snapshot(
             t=t,
             n_x=vals[:-1],
-            phi_x=photon_amplitude(gs, st, params),
             scatterer_population=float(vals[-1]),
-            parity=parity_expectation(st, params),
             norm=norm(st),
             discarded=discarded,
             max_bond=st.max_bond,
@@ -323,6 +318,7 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     n_steps = max(1, round(t_final / dt))
     n_chunks = min(max(1, n_snapshots), n_steps)
     snapshots = [snap(0.0, state, launch_discarded)]
+    clean, clean_state = snapshots[0], state     # the last_clean snapshot
     n_k0 = snapshots[0].n_k if measure_nk else \
         momentum_occupations(state, params, window)[1]
     # a clipped launch tail may sit at an edge from the start; per-edge
@@ -346,6 +342,9 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
             flags.append(f"edge weight {ew:.1e} at t={s.t:g}")
             if edge_time is None:
                 edge_time = s.t
+        elif edge_time is None:
+            clean, clean_state = s, state
+    clean.phi_x = photon_amplitude(gs, clean_state, params)
     if 1.0 - kept > TRUNCATION_BUDGET:
         warnings.warn(f"accumulated truncation weight {1.0 - kept:.3e} "
                       f"exceeds the budget {TRUNCATION_BUDGET:.0e}; "
@@ -404,7 +403,6 @@ class TransmissionSpectrum:
     T: np.ndarray              # |t|^2 on the valid grid points
     R: np.ndarray              # |r|^2, reflected side at mirrored momenta
     k: np.ndarray
-    carrier: float             # windowed power ratio at the carrier
 
 
 def transmission_spectrum(result: ScatteringResult, window: int = 10,
@@ -412,7 +410,8 @@ def transmission_spectrum(result: ScatteringResult, window: int = 10,
                           mask_frac: float = 0.05) -> TransmissionSpectrum:
     """t(omega) and r(omega) from the amplitude profile vs the free packet.
 
-    The run's ``<GS| a_x |Psi>`` profile is restricted to sites past
+    The ``<GS| a_x |Psi>`` profile of the run's last clean snapshot, the
+    only one that carries it, is restricted to sites past
     ``j0 + window`` (transmitted) and before ``j0 - window`` (reflected),
     the freely propagated packet to the transmitted side, and all three are
     Fourier transformed on a zero-padded grid.  t_k divides the transmitted
@@ -439,12 +438,9 @@ def transmission_spectrum(result: ScatteringResult, window: int = 10,
     idx = idx[np.argsort(k[idx])]
     t_amp = f_run[idx] / f_free[idx]
     r_amp = f_ref[-idx % n_fft] / f_free[idx]
-    power_run = float(np.sum(np.abs(snap.phi_x * w_t) ** 2))
-    power_free = float(np.sum(np.abs(phi_free * w_t) ** 2))
-    carrier = power_run / power_free if power_free > 0 else float("nan")
     return TransmissionSpectrum(omega=dispersion(np.abs(k[idx]), p),
                                 T=np.abs(t_amp) ** 2, R=np.abs(r_amp) ** 2,
-                                k=k[idx], carrier=carrier)
+                                k=k[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +455,12 @@ def elastic_mask(k: np.ndarray, params: ModelParams, omega_in: float,
 
 @dataclass
 class InelasticResult:
-    omega_in: float
     p_elastic: float
     p_inelastic: float         # everything off the carrier line
-    p_inelastic_t: float       # Raman window around omega_in - gap, k > 0
+    p_inelastic_t: float       # Raman window around the carrier - gap, k > 0
     p_inelastic_r: float
-    p_other: float             # off-carrier weight outside the Raman window
     omega_out: float           # centroid of the off-carrier weight (nan if none)
     omega_out_expected: float  # carrier minus the bound-state gap
-    bandwidth: float
-    raman_open: bool           # carrier above the conversion threshold
-    k: np.ndarray
-    n_k: np.ndarray            # cloud-subtracted occupations used here
 
 
 def _cloud_subtracted(result: ScatteringResult, n_k: np.ndarray) -> np.ndarray:
@@ -508,15 +498,11 @@ def inelastic_spectrum(result: ScatteringResult,
     centroid = float(np.sum(n_k[ine] * om_k[ine]) / w_ine) \
         if w_ine > 1e-12 else float("nan")
     return InelasticResult(
-        omega_in=om_in,
         p_elastic=float(np.sum(n_k[el])) / total,
         p_inelastic=w_ine / total,
         p_inelastic_t=float(np.sum(n_k[ram & (k > 0)])) / total,
         p_inelastic_r=float(np.sum(n_k[ram & (k < 0)])) / total,
-        p_other=float(np.sum(n_k[ine & ~ram])) / total,
-        omega_out=centroid, omega_out_expected=om_out, bandwidth=d_om,
-        raman_open=bool(om_in > raman_threshold(gap, p)),
-        k=k, n_k=n_k)
+        omega_out=centroid, omega_out_expected=om_out)
 
 
 def raman_threshold(gap: float, params: ModelParams) -> float:

@@ -214,6 +214,25 @@ def test_polariton_transmission_bounded_with_exact_dip():
         O.polariton_transmission(p, lo - 0.1, data)
 
 
+def test_polariton_transmission_follows_the_weak_coupling_limits():
+    # away from the dip: a nearly bare site transmits everything, and at
+    # small g the counter-rotating terms barely move the rwa closed form
+    def band_off_dip(p):
+        lo, hi = M.band_edges(p)
+        om = np.linspace(lo + 1e-3, hi - 1e-3, 401)
+        return om[np.abs(om - O.resonance_frequency(p)) > 0.05]
+
+    p = M.ModelParams(L=52, g=1e-3, j0=26, n_max=2)
+    t = O.polariton_transmission(p, band_off_dip(p))
+    assert np.max(np.abs(np.abs(t) ** 2 - 1.0)) <= 1e-6
+    p = M.ModelParams(L=52, g=0.05, j0=26, n_max=2)
+    om = band_off_dip(p)
+    t_rwa, _ = O.rwa_single_excitation_scattering(
+        M.ModelParams(L=52, g=0.05, j0=26, n_max=2, coupling_mode="rwa"), om)
+    t = O.polariton_transmission(p, om)
+    assert np.max(np.abs(np.abs(t) ** 2 - np.abs(t_rwa) ** 2)) <= 2e-2
+
+
 # ---------------------------------------------------------------------------
 # linear variant
 

@@ -87,9 +87,8 @@ def test_prepare_input_rejects_packet_on_scatterer():
 def test_prepare_input_warns_on_marginal_cloud_overlap():
     spec = sc.WavepacketSpec(omega=1.0, sigma=4.0, x0=P_FREE.j0 - 12.0)
     with pytest.warns(UserWarning, match="scatterer site"):
-        _, info, _ = sc.prepare_input(vacuum(P_FREE), P_FREE, spec,
-                                      max_rank=8, cutoff=1e-12)
-    assert info.messages
+        sc.prepare_input(vacuum(P_FREE), P_FREE, spec, max_rank=8,
+                         cutoff=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def test_momentum_occupations_sign_and_parseval():
                                  direction=direction)
         op = M.packet_creation_mpo(p, sc.packet_profile(p, spec))
         state = normalize(apply_mpo(vacuum(p), op, 8, 0.0)[0])
-        k, n_k = sc.momentum_occupations(state, p)
+        k, n_k = sc.momentum_occupations(state, p, np.arange(p.L))
         assert np.sum(n_k) == pytest.approx(1.0, abs=1e-10)
         k_peak = k[np.argmax(n_k)]
         assert abs(k_peak - direction * k0) < 0.02
@@ -139,11 +138,37 @@ def test_decoupled_scatterer_transmits_everything():
     assert np.max(np.abs(s.phi_x - sc.free_reference(P_FREE, SPEC_FREE, s.t))) < 1e-3
     # complex stage coefficients leave an O(dt^4) non-unitarity per step
     assert abs(s.norm - 1.0) < 1e-7
-    assert s.parity == pytest.approx(-1.0, abs=1e-10)
     ts = sc.transmission_spectrum(res, window=2, taper=4)
     assert np.max(np.abs(ts.T - 1.0)) < 0.01
     assert np.max(ts.R) < 1e-4
-    assert ts.carrier == pytest.approx(1.0, abs=1e-3)
+
+
+def test_one_amplitude_per_run_on_the_last_clean_snapshot(monkeypatch):
+    # the free packet reaches the right edge from t = 25 on: the spectra
+    # read an earlier snapshot, and only that one carries the amplitude
+    p = M.ModelParams(L=30, g=0.0, j0=15, n_max=1)
+    spec = sc.WavepacketSpec(omega=1.0, sigma=2.0, x0=5.0)
+    calls = {"amplitude": 0, "parity": 0}
+    amplitude, parity = sc.photon_amplitude, sc.parity_expectation
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(sc, "photon_amplitude", counted("amplitude", amplitude))
+    monkeypatch.setattr(sc, "parity_expectation", counted("parity", parity))
+    res = sc.run_scattering(p, spec, t_final=40.0, dt=0.25, order=3,
+                            max_rank=4, cutoff=1e-12, n_snapshots=8,
+                            gs=vacuum(p), gs_energy=0.0)
+    assert calls == {"amplitude": 1, "parity": 2}    # parity: the launch check
+    assert res.edge_time is not None
+    assert res.last_clean is not res.snapshots[-1]
+    assert [s.phi_x is not None for s in res.snapshots] == \
+        [s is res.last_clean for s in res.snapshots]
+    s = res.last_clean
+    assert np.max(np.abs(s.phi_x - sc.free_reference(p, spec, s.t))) < 1e-3
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +208,9 @@ def test_rwa_run_has_no_frequency_conversion(rwa_run):
     assert ine.p_inelastic < 0.02
     assert ine.p_elastic > 0.98
     assert ine.p_inelastic_t + ine.p_inelastic_r <= ine.p_inelastic + 1e-9
-    assert ine.p_other <= ine.p_inelastic + 1e-9
     # conversion is kinematically open yet nothing converts without
     # counter-rotating terms
-    assert ine.raman_open
+    assert res.info.omega > sc.raman_threshold(0.45, p)
 
 
 def test_rwa_scatterer_excites_and_relaxes(rwa_run):
@@ -196,8 +220,6 @@ def test_rwa_scatterer_excites_and_relaxes(rwa_run):
     assert dp[0] < 1e-10
     assert np.max(dp) > 0.02           # packet drives the qubit in passing
     assert dp[-1] < 0.01               # and it re-emits completely
-    par = np.array([s.parity for s in res.snapshots])
-    assert np.max(np.abs(par + 1.0)) < 1e-8
 
 
 def test_nk_series_supplies_the_initial_and_final_occupations(monkeypatch):
@@ -274,7 +296,7 @@ def fake_result(params, spec, k, n0, n1, gs_n_k=None):
     kc = float(M.momentum_from_frequency(spec.omega, params))
     v = abs(float(M.group_velocity(kc, params)))
     info = sc.PacketInfo(omega=spec.omega, momentum=kc, velocity=v,
-                         bandwidth=v / spec.sigma, messages=[])
+                         bandwidth=v / spec.sigma)
     return sc.ScatteringResult(params=params, spec=spec, info=info,
                                snapshots=[], gs_energy=0.0, gs_n_x=None,
                                k_grid=k, n_k_initial=n0, n_k_final=n1,
@@ -304,8 +326,9 @@ def test_inelastic_split_classifies_synthetic_peaks():
     assert ine.p_inelastic == pytest.approx(0.40)
     assert ine.p_inelastic_t == pytest.approx(0.15)
     assert ine.p_inelastic_r == pytest.approx(0.15)
-    assert ine.p_other == pytest.approx(0.10)
-    assert ine.raman_open
+    assert ine.p_inelastic - ine.p_inelastic_t - ine.p_inelastic_r \
+        == pytest.approx(0.10)
+    assert spec.omega > sc.raman_threshold(gap, p)
     om = [float(M.dispersion(abs(k[i]), p)) for i in (i_t, i_r, i_x)]
     want = (0.15 * om[0] + 0.15 * om[1] + 0.10 * om[2]) / 0.40
     assert ine.omega_out == pytest.approx(want, abs=1e-9)
@@ -416,7 +439,6 @@ def test_mirror_experiment_bounces_packet_off_wall():
     s = res.snapshots[-1]
     # the standing-wave reference includes the wall bounce exactly
     assert np.max(np.abs(s.phi_x - sc.free_reference(p, res.spec, s.t))) < 2e-3
-    assert s.parity == pytest.approx(-1.0, abs=1e-8)
     cent = [float(np.sum(np.arange(p.L) * (x.n_x - res.gs_n_x)))
             for x in res.snapshots]
     assert max(cent) > cent[0] + 10    # went out
