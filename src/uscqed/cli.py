@@ -95,14 +95,14 @@ def cmd_ground_state(args) -> int:
 def cmd_bound_states(args) -> int:
     import dataclasses
 
+    from .config import couplings
     from .model import band_edges
     from .sweep import output_path, window_bound_states, write_table
 
     cfg = _load_config(args)
     say = _say(args)
-    gs_list = cfg.sweep.g or (cfg.model.g,)
     rows = []
-    for g in gs_list:
+    for g in couplings(cfg):
         t0 = time.perf_counter()
         bs = window_bound_states(dataclasses.replace(cfg.model, g=g))
         e0, e1, e2 = (float(x) for x in bs.energies)
@@ -125,12 +125,12 @@ def cmd_bound_states(args) -> int:
 def cmd_scatter(args) -> int:
     import dataclasses
 
-    from .sweep import (COLUMNS, _grid, bound_data, output_path, run_point,
-                        write_table)
+    from .config import grid
+    from .sweep import COLUMNS, bound_data, output_path, run_point, write_table
 
     cfg = _load_config(args)
     say = _say(args)
-    g, omega = _grid(cfg)[0]
+    g, omega = grid(cfg)[0]
     say(f"g={g:g}: solving bound states and ground state")
     gap, gs, e_gs = bound_data(dataclasses.replace(cfg.model, g=g))
     say(f"gap = {gap:.6f}; launching packet")

@@ -4,10 +4,10 @@ A config bundles the model, the packet, the time stepper, optional sweep
 grids, and the output directory, the one output setting: every command
 writes its CSV and its JSON there, under names that `sweep.output_path`
 builds from the config hash.  A carrier is always a band frequency: the
-packet's ``omega``, or each entry of a ``sweep.omega_in`` grid.  Parsing
-is strict: unknown keys anywhere are hard errors, so a typo never silently
-falls back to a default, and every carrier is checked against the chain
-(band, launch site, overlap with the scatterer) before any solve can start.
+packet's ``omega``, or each entry of a ``sweep.omega_in`` grid; the packet
+is a right-mover launched left of the scatterer.  Parsing is strict:
+unknown keys anywhere are hard errors, so a typo never silently falls back
+to a default, and every point of `grid` is checked before any solve starts.
 Preset expansion happens before user overlays, and the expanded values are
 what gets hashed, so the same physics reached via a preset or spelled out
 by hand carries the same identity.
@@ -160,20 +160,37 @@ def from_dict(data: dict) -> RunConfig:
                                           merged.get(section, {}))
                           for section, cls in _SECTIONS.items()},
                        preset=preset)
-    _check_carriers(config)
+    _check_grid(config)
     return config
 
 
 def carriers(config: RunConfig) -> list:
-    """Carrier frequencies of a run in grid order.
-
-    A ``sweep.omega_in`` grid replaces the packet's own ``omega``.
-    """
+    """Carriers in grid order: ``sweep.omega_in``, else the packet's."""
     return list(config.sweep.omega_in or (config.packet.omega,))
 
 
-def _check_carriers(config: RunConfig) -> None:
-    """Reject, before any solve, every carrier the chain cannot launch."""
+def couplings(config: RunConfig) -> list:
+    """Couplings in grid order: ``sweep.g``, else the model's."""
+    return list(config.sweep.g or (config.model.g,))
+
+
+def grid(config: RunConfig) -> list:
+    """``(g, omega)`` points in grid order, g-major."""
+    omegas = carriers(config)
+    return [(g, omega) for g in couplings(config) for omega in omegas]
+
+
+def _check_grid(config: RunConfig) -> None:
+    """Reject, before any solve, every grid point the run cannot execute.
+
+    Checks the model at each coupling, and the packet (band, launch site,
+    overlap with the scatterer) at each carrier.
+    """
+    for g in couplings(config):
+        try:
+            dataclasses.replace(config.model, g=g)
+        except ConfigError as exc:
+            raise ConfigError(f"coupling g={g:g}: {exc}") from exc
     try:
         check_packet(config.model, config.packet)
     except ValueError as exc:

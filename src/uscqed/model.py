@@ -274,10 +274,12 @@ def trotter_gates(params: ModelParams, dt: float,
         raise ValueError("dt must be positive")
     terms = bond_terms(params)
     dims = params.local_dims()
+    # bonds with equal terms share their gates
+    keys = [(h.shape, h.tobytes()) for h in terms]
     cache: dict = {}
 
     def gate(x, coeff):
-        key = (x, coeff) if _is_special(params, x) else (None, dims[x], coeff)
+        key = (keys[x], coeff)
         if key not in cache:
             cache[key] = scipy.linalg.expm(-1j * dt * coeff * terms[x])
         return cache[key]
@@ -290,11 +292,6 @@ def trotter_gates(params: ModelParams, dt: float,
     vacuum = frozenset(x for x, h in enumerate(terms) if not np.any(h[:, 0]))
     return TrotterGates(stages=tuple(stages), local_dims=tuple(dims),
                         vacuum_bonds=vacuum)
-
-
-def _is_special(params: ModelParams, x: int) -> bool:
-    """Bonds whose term differs from the bulk pattern (ends and around j0)."""
-    return x in (0, params.L - 2) or x in (params.j0 - 1, params.j0)
 
 
 # ---------------------------------------------------------------------------

@@ -54,28 +54,25 @@ LINE_WIDTH = 3.0
 class WavepacketSpec:
     """Gaussian single-photon packet: width, launch site, and carrier.
 
-    The carrier is the band frequency ``omega``; the dispersion fixes the
-    central momentum and ``direction`` its sign, +1 for a right-mover.
+    The packet is a right-mover: the carrier is the band frequency
+    ``omega``, and the dispersion fixes its central momentum k > 0.
     Site amplitudes follow ``phi_x ~ exp[-(x - x0)^2 / 2 sigma^2 + i k x]``.
     """
 
     sigma: float
     x0: float
     omega: float
-    direction: int = +1
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.direction not in (+1, -1):
-            raise ValueError("direction must be +1 or -1")
 
     def carrier_momentum(self, params: ModelParams) -> float:
-        """Signed central momentum against the model's dispersion."""
+        """Central momentum k > 0 against the model's dispersion."""
         k = momentum_from_frequency(self.omega, params)
         if np.isnan(k):
             raise BandEdgeError(f"carrier {self.omega} lies outside the band")
-        return self.direction * float(k)
+        return float(k)
 
 
 def packet_profile(params: ModelParams, spec: WavepacketSpec) -> np.ndarray:
@@ -92,15 +89,19 @@ def check_packet(params: ModelParams, spec: WavepacketSpec) -> np.ndarray:
     """Profile of a packet the chain can launch; raises for one it cannot.
 
     Rejects a carrier outside the band (`BandEdgeError`), a centre off the
-    chain (`ValueError`) and packet weight above `CLOUD_OVERLAP_LIMIT` on the
-    scatterer site (`ConfigError`).  No state is needed, so configs run the
-    same checks at parse time.
+    chain (`ValueError`), packet weight above `CLOUD_OVERLAP_LIMIT` on the
+    scatterer site and a centre not left of it (`ConfigError`): the
+    right-moving packet must meet the scatterer.  No state is needed, so
+    configs run the same checks at parse time.
     """
     phi = packet_profile(params, spec)
     cloud = abs(phi[params.j0]) ** 2
     if cloud > CLOUD_OVERLAP_LIMIT:
         raise ConfigError(
             f"packet weight {cloud:.2e} on the scatterer site; move x0 away")
+    if spec.x0 >= params.j0:
+        raise ConfigError(f"packet launched at x0={spec.x0:g}, not left of "
+                          f"the scatterer at j0={params.j0}")
     return phi
 
 
@@ -226,22 +227,11 @@ class ScatteringResult:
     gs_scatterer_population: float = 0.0
     flags: list = field(default_factory=list)
     edge_time: float = None    # first snapshot time with edge contamination
+    last_clean: Snapshot = None  # latest snapshot before edge contamination
 
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
-
-    @property
-    def last_clean(self) -> Snapshot:
-        """Latest snapshot before photon weight reached a watched edge."""
-        if self.edge_time is None:
-            return self.snapshots[-1]
-        clean = self.snapshots[0]
-        for s in self.snapshots:
-            if s.t >= self.edge_time:
-                break
-            clean = s
-        return clean
 
 
 def analysis_window(params: ModelParams, exclude_radius: int) -> np.ndarray:
@@ -318,7 +308,7 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     n_steps = max(1, round(t_final / dt))
     n_chunks = min(max(1, n_snapshots), n_steps)
     snapshots = [snap(0.0, state, launch_discarded)]
-    clean, clean_state = snapshots[0], state     # the last_clean snapshot
+    clean, clean_state = snapshots[0], state
     n_k0 = snapshots[0].n_k if measure_nk else \
         momentum_occupations(state, params, window)[1]
     # a clipped launch tail may sit at an edge from the start; per-edge
@@ -357,9 +347,10 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
                               gs_n_x=gs_n_x, k_grid=k_grid,
                               n_k_initial=n_k0, n_k_final=n_k1,
                               gs_n_k=gs_n_k, gs_scatterer_population=gs_pop,
-                              flags=flags, edge_time=edge_time)
-    if params.boundary == "open" and info.momentum > 0:
-        reach = spec.x0 + info.velocity * result.last_clean.t
+                              flags=flags, edge_time=edge_time,
+                              last_clean=clean)
+    if params.boundary == "open":
+        reach = spec.x0 + info.velocity * clean.t
         if reach < params.j0 + exclude_radius + 3.0 * spec.sigma:
             result.flags.append(
                 f"transmitted packet near x={reach:.0f} at the analysis "
@@ -596,7 +587,7 @@ def mirror_experiment(g: float, omega: float, j0: int = 60,
                          boundary="mirror", mirror_dx=mirror_dx)
     if x0 is None:
         x0 = j0 / 2
-    spec = WavepacketSpec(omega=omega, sigma=sigma, x0=x0, direction=+1)
+    spec = WavepacketSpec(omega=omega, sigma=sigma, x0=x0)
     if t_final is None:
         v = abs(group_velocity(
             float(momentum_from_frequency(omega, params)), params))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scattering as sc
-from .config import RunConfig, carriers, config_hash
+from .config import RunConfig, config_hash, grid
 from .errors import ConfigError
 from .evolution import (WINDOW_RADIUS, bound_states, embedded_ground_state,
                         scatterer_window)
@@ -131,12 +131,6 @@ def sweep_path(config: RunConfig) -> str:
     return output_path(config, "sweep", "csv")
 
 
-def _grid(config: RunConfig):
-    """``(g, omega)`` points in grid order, g-major."""
-    gs = config.sweep.g or (config.model.g,)
-    return [(g, omega) for g in gs for omega in carriers(config)]
-
-
 def window_bound_states(params: ModelParams, radius: int = WINDOW_RADIUS):
     """`BoundStates` on the window around j0, behind every reported gap."""
     return bound_states(scatterer_window(params, radius)[1])
@@ -196,7 +190,7 @@ def _run_id(config: RunConfig, i: int) -> str:
 def run_point(config: RunConfig, i: int, g: float, omega: float, gap: float,
               gs, gs_energy: float, measure_nk: bool = False,
               strict: bool = False) -> ResultRow:
-    """Grid point ``i`` (see `_grid`) as one scattering run, reduced to a row.
+    """Grid point ``i`` of `config.grid`, run and reduced to a row.
 
     The row's run id is ``<hash[:8]>-<i:03d>``, and a successful run also
     writes its sidecar JSON ``run_<hash>_<i:03d>.json`` beside the tables,
@@ -301,7 +295,7 @@ def sweep(config: RunConfig, progress=None) -> list:
     chash = config_hash(config)
     done_rows = [r for r in read_rows(path) if r.config_hash == chash]
     done = {(fmt(r.g), fmt(r.omega_in)) for r in done_rows}
-    points = _grid(config)
+    points = grid(config)
     todo = [(i, g, omega) for i, (g, omega) in enumerate(points)
             if (fmt(g), fmt(float(omega))) not in done]
     say(f"{len(points)} grid points, {len(points) - len(todo)} already done")

@@ -85,6 +85,20 @@ def test_order_one_is_rejected_before_any_solve(tmp_path, capsys, no_solves,
     assert "order must be 2 or 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("section, values, message", [
+    ("packet", {"x0": 30.0}, "x0=30, not left of the scatterer at j0=20"),
+    ("packet", {"direction": -1}, "unknown key packet.direction"),
+    ("sweep", {"g": [0.5, -0.1]}, "coupling g=-0.1: g must be >= 0"),
+], ids=["x0-right-of-j0", "direction", "negative-g"])
+def test_run_geometry_is_rejected_before_any_solve(
+        tmp_path, capsys, no_solves, command, section, values, message):
+    path = write_config(tmp_path, **{section: values})
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_carrier_outside_band_is_rejected_before_any_solve(
         tmp_path, capsys, no_solves):
     path = write_config(tmp_path, sweep={"omega_in": [1.0, 1.8]})

@@ -115,12 +115,12 @@ def test_preset_hashes_are_pinned():
     # fig5 are one physics, so one sweep serves both figures
     assert {name: C.config_hash(C.preset_config(name))
             for name in C.PRESETS} == {
-        "desk": "79384e2768a64025",
-        "paper-fig3": "af4b468bde5c09d5",
-        "paper-fig4": "d1a940cd4592c0c3",
-        "paper-fig5": "d1a940cd4592c0c3",
-        "paper-fig5-inset": "5c73ba7fb1f2fc7a",
-        "paper-fig6": "7ed2ab51fd2c3d62",
+        "desk": "a29b87d17b462572",
+        "paper-fig3": "a92f245ace612428",
+        "paper-fig4": "925c2aff2811b66c",
+        "paper-fig5": "925c2aff2811b66c",
+        "paper-fig5-inset": "81bc7f55256f3116",
+        "paper-fig6": "dda5857c4ca04137",
     }
 
 
@@ -193,6 +193,12 @@ def test_carriers_are_checked_at_parse_time():
         parse(packet={"x0": 17.0})
     with pytest.raises(ConfigError, match="carrier omega=0.2: .*outside"):
         parse(sweep={"omega_in": [1.0, 0.2]})
+    with pytest.raises(ConfigError, match="x0=30, not left of the scat"):
+        parse(packet={"x0": 30.0})
+    with pytest.raises(ConfigError, match="unknown key packet.direction"):
+        parse(packet={"direction": 1})
+    with pytest.raises(ConfigError, match="coupling g=-0.1: g must be >= 0"):
+        parse(sweep={"g": [0.5, -0.1]})
 
 
 def test_formats_are_validated(tmp_path, capsys):

@@ -52,10 +52,8 @@ def test_packet_profile_rejects_bad_carrier_and_center():
 
 def test_wavepacket_spec_momentum_route():
     s = sc.WavepacketSpec(sigma=4.0, x0=10.0,
-                          omega=float(M.dispersion(1.2, P_FREE)), direction=-1)
-    assert s.carrier_momentum(P_FREE) == pytest.approx(-1.2, abs=1e-12)
-    with pytest.raises(ValueError, match="direction"):
-        sc.WavepacketSpec(sigma=4.0, x0=10.0, omega=1.0, direction=0)
+                          omega=float(M.dispersion(1.2, P_FREE)))
+    assert s.carrier_momentum(P_FREE) == pytest.approx(1.2, abs=1e-12)
 
 
 def test_prepare_input_flips_parity_and_normalizes():
@@ -70,11 +68,6 @@ def test_prepare_input_flips_parity_and_normalizes():
     assert info.omega == pytest.approx(1.0)
     assert info.velocity == pytest.approx(
         abs(M.group_velocity(info.momentum, P_FREE)))
-    left = sc.prepare_input(
-        vacuum(P_FREE), P_FREE,
-        sc.WavepacketSpec(omega=1.0, sigma=4.0, x0=10.0, direction=-1),
-        max_rank=8, cutoff=1e-12)[1]
-    assert left.momentum < 0
 
 
 def test_prepare_input_rejects_packet_on_scatterer():
@@ -107,10 +100,11 @@ def test_free_reference_matches_dense_propagation_with_bounce():
 def test_momentum_occupations_sign_and_parseval():
     p = M.ModelParams(L=40, g=0.0, j0=20, n_max=1)
     k0 = float(M.momentum_from_frequency(0.8, p))
-    for direction in (+1, -1):
-        spec = sc.WavepacketSpec(omega=0.8, sigma=4.0, x0=20.0,
-                                 direction=direction)
-        op = M.packet_creation_mpo(p, sc.packet_profile(p, spec))
+    phi = sc.packet_profile(p, sc.WavepacketSpec(omega=0.8, sigma=4.0,
+                                                 x0=20.0))
+    # the conjugate profile is the left-mover at -k
+    for direction, profile in ((+1, phi), (-1, phi.conj())):
+        op = M.packet_creation_mpo(p, profile)
         state = normalize(apply_mpo(vacuum(p), op, 8, 0.0)[0])
         k, n_k = sc.momentum_occupations(state, p, np.arange(p.L))
         assert np.sum(n_k) == pytest.approx(1.0, abs=1e-10)

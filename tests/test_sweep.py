@@ -74,9 +74,9 @@ def test_read_rows_round_trip(tmp_path):
 
 def test_grid_expansion_covers_g_and_carriers(tmp_path):
     cfg = make_config(tmp_path, sweep={"g": [0.1, 0.2], "omega_in": [0.8, 1.2]})
-    assert sw._grid(cfg) == [(0.1, 0.8), (0.1, 1.2), (0.2, 0.8), (0.2, 1.2)]
+    assert C.grid(cfg) == [(0.1, 0.8), (0.1, 1.2), (0.2, 0.8), (0.2, 1.2)]
     cfg = make_config(tmp_path)        # no grids: the packet's own carrier
-    assert sw._grid(cfg) == [(0.0, 1.0)]
+    assert C.grid(cfg) == [(0.0, 1.0)]
 
 
 @pytest.fixture(scope="module")
