@@ -48,10 +48,13 @@ Ground and bound states: `ground_state` is a two-site DMRG on the bond-4
 `model.hamiltonian_mpo` (White, PRL 69, 2863 (1992); Schollwoeck, Ann.
 Phys. 326, 96 (2011), sec. 6).  Parity is a product of diagonal local
 factors, so every bond index carries a Z2 label; each two-site problem is
-solved on the entries of its target sector only (dense ``eigh`` for small
-blocks, Lanczos on a `LinearOperator` for larger ones), and the split runs
-per parity block under one `truncation_rank`.  `bound_states` takes the
-even and odd minima and the even minimum orthogonal to the ground state.
+solved on the entries of its target sector only: a small block takes only
+its lowest eigenpair from LAPACK ``syevr``/``heevr``, a larger one goes to
+Lanczos on a `LinearOperator` whose matvec is a chain of reshapes and
+matmuls.  The split launches `tensors.svd` per parity block and runs one
+`truncation_rank` over the merged values, writing only the kept vectors
+(no `split_matrix` call).  `bound_states` takes the even and odd minima
+and the even minimum orthogonal to the ground state.
 """
 
 from __future__ import annotations
@@ -61,13 +64,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError, NumericError
 from .model import (ModelParams, TrotterGates, hamiltonian_mpo,
                     parity_expectation, parity_factors)
 from .mps import (MPS, _mpo_transfer, _right_sweep, _transfer,
                   canonicalize, mpo_expectation, normalize, product_state)
-from .tensors import split_matrix, svd, truncation_rank, truncation_ranks
+from .tensors import svd, truncation_rank, truncation_ranks
 
 # A bond-1 site counts as vacuum when its non-vacuum squared weight is at
 # most this fraction of its vacuum weight: amplitudes of 1e-12, twelve
@@ -75,8 +79,9 @@ from .tensors import split_matrix, svd, truncation_rank, truncation_ranks
 # occur, since the SVDs leave tails of about 1e-13 in amplitude.
 VACUUM_RTOL = 1e-24
 
-# Two-site problems with at most this many sector entries are solved by
-# dense eigh; larger ones by Lanczos to this relative residual.
+# Two-site problems with at most this many sector entries are solved
+# densely for their lowest pair; larger ones by Lanczos to this relative
+# residual.
 DENSE_MAX = 64
 LANCZOS_TOL = 1e-10
 DMRG_MAX_SWEEPS = 40
@@ -306,33 +311,50 @@ def _parities(params: ModelParams) -> list:
             for f in parity_factors(params)]
 
 
+def _pair(a, b):
+    """Two-site tensor ``(al, dl, dr, ar)`` of sites ``a`` and ``b``."""
+    k = b.shape[0]
+    return (a.reshape(-1, k) @ b.reshape(k, -1)).reshape(*a.shape[:2],
+                                                         *b.shape[1:])
+
+
 def _split_blocked(m, row_labels, col_labels, max_rank, cutoff):
     """Truncated SVD of a matrix that is block diagonal in Z2 labels.
 
     ``m[r, c]`` vanishes unless ``row_labels[r] == col_labels[c]``.  Each
-    block is split on its own and one `truncation_rank` runs over the merged
-    singular values, so the kept vectors are parity-definite.  Returns
-    ``(u, s, vh, labels, discarded)`` with ``labels`` those of the new bond.
+    block is split by its own `svd` launch and one `truncation_rank` runs
+    over the merged singular values, so a multiplet across both blocks is
+    kept whole and the kept vectors are parity-definite; only they are
+    written into ``u`` and ``vh``.  Returns ``(u, s, vh, labels,
+    discarded)`` with ``labels`` those of the new bond; a non-finite ``m``
+    raises `NumericError`.
     """
-    us, ss, vhs, qs = [], [], [], []
+    if not np.all(np.isfinite(m)):
+        raise NumericError("input to SVD contains non-finite entries")
+    blocks = []
     for q in (0, 1):
         rows = np.flatnonzero(row_labels == q)
         cols = np.flatnonzero(col_labels == q)
         if rows.size and cols.size:
-            bu, bs, bvh, _ = split_matrix(m[np.ix_(rows, cols)], max_rank, 0.0)
-            us.append(np.zeros((m.shape[0], bs.size), dtype=m.dtype))
-            us[-1][rows] = bu
-            vhs.append(np.zeros((bs.size, m.shape[1]), dtype=m.dtype))
-            vhs[-1][:, cols] = bvh
-            ss.append(bs)
-            qs.append(np.full(bs.size, q, dtype=np.int8))
-    u, vh = np.hstack(us), np.vstack(vhs)
-    s, labels = np.concatenate(ss), np.concatenate(qs)
+            blocks.append((q, rows, cols, *svd(m[rows[:, None], cols])))
+    s = np.concatenate([b[4] for b in blocks])
     order = np.argsort(-s, kind="stable")
     keep = order[:truncation_rank(s[order], max_rank, cutoff)]
+    u = np.zeros((m.shape[0], keep.size), dtype=m.dtype)
+    vh = np.zeros((keep.size, m.shape[1]), dtype=m.dtype)
+    labels = np.empty(keep.size, dtype=np.int8)
+    start = 0
+    for q, rows, cols, bu, bs, bvh in blocks:
+        # kept positions j in the new bond, from column c of this block
+        j = np.flatnonzero((keep >= start) & (keep < start + bs.size))
+        c = keep[j] - start
+        start += bs.size
+        u[rows[:, None], j] = bu[:, c]
+        vh[j[:, None], cols] = bvh[c]
+        labels[j] = q
     total = float(np.vdot(m, m).real)
     discarded = 1.0 - float(np.sum(s[keep] ** 2)) / total if total else 0.0
-    return u[:, keep], s[keep], vh[keep], labels[keep], max(discarded, 0.0)
+    return u, s[keep], vh, labels, max(discarded, 0.0)
 
 
 def _parity_blocked(sites, pars, sector):
@@ -371,29 +393,45 @@ def _lowest(lenv, w1, w2, renv, mask, v0, penalties):
     The environments are ``(bra, mpo, ket)``; ``penalties`` are projected
     states (vectors on ``mask``), each raised by `PENALTY`.  Returns
     ``(value, vector, matvecs)``; a dense solve counts one matvec per
-    column of the matrix it builds.
+    column of the matrix it builds, and takes only the lowest pair.
     """
     n = v0.size
+    (b, wl, k), (_, s1, d1, v), (_, s2, d2, u) = lenv.shape, w1.shape, w2.shape
+    c, _, ar = renv.shape
     if n <= DENSE_MAX:
-        x = np.tensordot(lenv, w1, axes=(1, 0))             # b a s' s v
-        y = np.tensordot(w2, renv, axes=(3, 1))             # v t' t d c
-        h = np.tensordot(x, y, axes=(4, 0)).transpose(0, 2, 4, 6, 1, 3, 5, 7)
-        flat = mask.ravel()
-        h = h.reshape(mask.size, mask.size)[np.ix_(flat, flat)]
+        # h[(b s1 s2 c), (k d1 d2 ar)], bra by ket, summed over the MPO
+        # bond v between the two sites
+        x = lenv.transpose(0, 2, 1).reshape(b * k, wl) @ w1.reshape(wl, -1)
+        y = w2.reshape(-1, u) @ renv.transpose(1, 0, 2).reshape(u, c * ar)
+        h = (x.reshape(-1, v) @ y.reshape(v, -1)).reshape(
+            b, k, s1, d1, s2, d2, c, ar).transpose(0, 2, 4, 6, 1, 3, 5, 7)
+        idx = np.flatnonzero(mask)
+        h = h.reshape(mask.size, mask.size)[idx[:, None], idx]
         for phi in penalties:
             h += PENALTY * np.outer(phi, phi.conj())
-        vals, vecs = np.linalg.eigh(h)
+        name = "heevr" if np.iscomplexobj(h) else "syevr"
+        evr = get_lapack_funcs(name, (h,))
+        vals, vecs, _, _, info = evr(h, range="I", il=1, iu=1, lower=1)
+        if info != 0:
+            raise NumericError(f"LAPACK {name} failed with info={info}")
         return vals[0], vecs[:, 0], n
+    # (bra, mpo, ket) environments and MPO sites as matrices, once per
+    # problem: each matvec is four matmuls, contracting the ket from the
+    # left environment through w1, w2 and the right environment
+    lm = lenv.reshape(b * wl, k)
+    w1m = w1.transpose(1, 3, 0, 2).reshape(s1 * v, wl * d1)
+    w2m = w2.transpose(1, 3, 0, 2).reshape(s2 * u, v * d2)
+    rm = renv.transpose(1, 2, 0).reshape(u * ar, c)
     count = [0]
 
     def matvec(x):
         count[0] += 1
         full = np.zeros(mask.shape, dtype=x.dtype)
         full[mask] = x.ravel()
-        t = np.tensordot(lenv, full, axes=(2, 0))           # b w s t c
-        t = np.tensordot(t, w1, axes=((1, 2), (0, 2)))      # b t c s' v
-        t = np.tensordot(t, w2, axes=((1, 4), (2, 0)))      # b c s' t' u
-        out = np.tensordot(t, renv, axes=((1, 4), (2, 1)))[mask]
+        t = (lm @ full.reshape(k, d1 * d2 * ar)).reshape(b, wl * d1, d2 * ar)
+        t = (w1m @ t).reshape(b * s1, v * d2, ar)           # (b s1) (v d2) ar
+        t = (w2m @ t).reshape(b * s1 * s2, u * ar)          # (b s1 s2) (u ar)
+        out = (t @ rm).reshape(b, s1, s2, c)[mask]
         for phi in penalties:
             out += PENALTY * phi * np.vdot(phi, x)
         return out
@@ -431,6 +469,10 @@ def ground_state(params: ModelParams, max_rank: int = SOLVE_RANK,
     """
     if parity not in (1, -1):
         raise ValueError("parity must be +1 or -1")
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    if cutoff < 0.0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     L = params.L
     if L < 2:
         raise ValueError("DMRG needs at least two sites")
@@ -474,7 +516,7 @@ def ground_state(params: ModelParams, max_rank: int = SOLVE_RANK,
     # right-canonical sites 1..L-1, the norm at site 0; environments
     # lenvs[i] of the sites left of i and renvs[i] of those right of i
     for i in range(L - 2, -1, -1):
-        split(i, np.tensordot(sites[i], sites[i + 1], axes=(2, 0)), False)
+        split(i, _pair(sites[i], sites[i + 1]), False)
     lenvs = [np.ones((1, 1, 1), dtype=dtype)] + [None] * (L - 1)
     renvs = [None] * (L - 1) + [np.ones((1, 1, 1), dtype=dtype)]
     lovl = [[np.ones((1, 1), dtype=dtype)] + [None] * (L - 1) for _ in refs]
@@ -494,17 +536,18 @@ def ground_state(params: ModelParams, max_rank: int = SOLVE_RANK,
                 + [(i, False) for i in range(L - 2, min(0, L - 3), -1)])
     while trace.sweeps < DMRG_MAX_SWEEPS:
         for i, to_right in schedule:
-            theta = np.tensordot(sites[i], sites[i + 1], axes=(2, 0))
+            theta = _pair(sites[i], sites[i + 1])
             mask = ((labels[i][:, None, None, None]
                      ^ pars[i][None, :, None, None]
                      ^ pars[i + 1][None, None, :, None]
                      ^ labels[i + 2][None, None, None, :]) == 0)
             penalties = []
             for r, lo, ro in zip(refs, lovl, rovl):
-                t = np.tensordot(lo[i].conj(), r[i], axes=(0, 0))
-                t = np.tensordot(t, r[i + 1], axes=(2, 0))
-                penalties.append(np.tensordot(t, ro[i + 1].conj(),
-                                              axes=(3, 0))[mask])
+                # the reference's two sites between its overlap environments
+                t = _pair(r[i], r[i + 1])
+                t = lo[i].conj().T @ t.reshape(len(t), -1)
+                t = t.reshape(-1, ro[i + 1].shape[0]) @ ro[i + 1].conj()
+                penalties.append(t.reshape(mask.shape)[mask])
             try:
                 e, vec, n = _lowest(lenvs[i], ws[i], ws[i + 1], renvs[i + 1],
                                     mask, theta[mask], penalties)

@@ -52,6 +52,10 @@ class ModelParams:
             raise ConfigError("n_max must be >= 1")
         if self.g < 0:
             raise ConfigError("g must be >= 0")
+        # the group velocity -2J sin k of a carrier at k in (0, pi) points
+        # right, towards the scatterer, only for J < 0
+        if not self.J < 0:
+            raise ConfigError(f"J={self.J:g}: the hopping must be < 0")
         if self.coupling_mode not in ("full", "rwa"):
             raise ConfigError(f"unknown coupling_mode {self.coupling_mode!r}")
         if self.scatterer not in ("qubit", "boson"):

@@ -380,14 +380,21 @@ def compress(state: MPS, max_rank: int, cutoff: float):
 
 
 def _mpo_transfer(env, site, w):
-    """(bra, mpo, ket) environment through one site, bra = ket = ``site``.
+    """env (bl, wl, kl) -> (br, wr, kr), bra = ket = ``site``.
 
-    A right environment is a left one of the mirrored chain: pass
+    The index order is (bra, mpo, ket) on both sides; ``site`` is
+    ``(kl, d, kr)`` and ``w`` is ``(wl, d out, d in, wr)``.  A right
+    environment is a left one of the mirrored chain: pass
     ``site.transpose(2, 1, 0)`` and ``w.transpose(3, 1, 2, 0)``.
     """
-    t = np.tensordot(env, site, axes=(2, 0))               # bl wl d kr
-    t = np.tensordot(w, t, axes=((0, 2), (1, 2)))          # o wr bl kr
-    return np.tensordot(site.conj(), t, axes=((0, 1), (2, 0)))  # br wr kr
+    bl, wl, kl = env.shape
+    _, d, kr = site.shape
+    wr = w.shape[3]
+    t = (env.reshape(bl * wl, kl) @ site.reshape(kl, d * kr)).reshape(
+        bl, wl * d, kr)                                    # bl (wl d) kr
+    t = w.transpose(1, 3, 0, 2).reshape(d * wr, wl * d) @ t  # bl (o wr) kr
+    return (site.reshape(bl * d, -1).conj().T
+            @ t.reshape(bl * d, wr * kr)).reshape(-1, wr, kr)
 
 
 def mpo_expectation(state: MPS, op: MPO) -> complex:

@@ -7,11 +7,13 @@ Conventions used throughout the package:
 * SVD truncation uses a cutoff on the relative squared singular-value
   weight, never on absolute values, so it is scale invariant.
 
-`split_matrix` is the kernel every sequential truncating sweep calls: the
-caller reshapes its tensor into a matrix itself, so the kernel is one
-finiteness check, one ``np.linalg.svd`` (gesdd, with a gesvd fallback) and
-`truncation_rank`.  The TEBD stage kernel splits a stack of equal-shape
-matrices at once through the same `svd` and `truncation_ranks`.
+`split_matrix` is the kernel of the MPS gauge sweep (`mps._right_sweep`,
+behind `compress` and the entry gauge of TEBD): the caller reshapes its
+tensor into a matrix itself, so the kernel is one finiteness check, one
+``np.linalg.svd`` (gesdd, with a gesvd fallback) and `truncation_rank`.
+The TEBD stage kernel splits a stack of equal-shape matrices at once
+through the same `svd` and `truncation_ranks`, and the DMRG split launches
+`svd` per parity block under one `truncation_rank`.
 `svd_split` is the general form on axis groups, with validated axis lists,
 for callers that hold a tensor.
 """

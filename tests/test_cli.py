@@ -90,7 +90,9 @@ def test_order_one_is_rejected_before_any_solve(tmp_path, capsys, no_solves,
     ("packet", {"x0": 30.0}, "x0=30, not left of the scatterer at j0=20"),
     ("packet", {"direction": -1}, "unknown key packet.direction"),
     ("sweep", {"g": [0.5, -0.1]}, "coupling g=-0.1: g must be >= 0"),
-], ids=["x0-right-of-j0", "direction", "negative-g"])
+    ("model", {"J": 0.3}, "model: J=0.3: the hopping must be < 0"),
+    ("model", {"J": 0}, "model: J=0: the hopping must be < 0"),
+], ids=["x0-right-of-j0", "direction", "negative-g", "positive-J", "zero-J"])
 def test_run_geometry_is_rejected_before_any_solve(
         tmp_path, capsys, no_solves, command, section, values, message):
     path = write_config(tmp_path, **{section: values})

@@ -201,6 +201,17 @@ def test_carriers_are_checked_at_parse_time():
         parse(sweep={"g": [0.5, -0.1]})
 
 
+@pytest.mark.parametrize("J", [0.3, 0.0])
+def test_hopping_of_a_right_mover_is_negative(J):
+    # with J >= 0 a packet at k in (0, pi) moves left, away from the
+    # scatterer, and the spectra would read T and R off the wrong sides
+    data = {"model": {"L": 40, "g": 0.5, "j0": 20, "J": J},
+            "packet": {"omega": 1.0, "sigma": 2.0, "x0": 10.0}}
+    with pytest.raises(ConfigError, match=f"model: J={J:g}: the hopping "
+                                          "must be < 0"):
+        C.from_dict(data)
+
+
 def test_formats_are_validated(tmp_path, capsys):
     # every command writes its CSV and its JSON: there is no format knob
     data = {"preset": "desk", "outputs": {"formats": ["csv", "json"]}}

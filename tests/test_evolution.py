@@ -449,3 +449,184 @@ def test_evolution_params_validation_and_kwargs():
                 {"n_snapshots": 0}):
         with pytest.raises(ValueError):
             ev.EvolutionParams(**bad)
+
+
+# ---------------------------------------------------------------------------
+# kernels of the two-site DMRG step, on random tensors
+
+def hermitian_stack(rng, count, n, dtype):
+    a = rng.normal(size=(count, n, n))
+    if dtype is complex:
+        a = a + 1j * rng.normal(size=(count, n, n))
+    return a + a.conj().transpose(0, 2, 1)
+
+
+def random_two_site_problem(rng, dtype, b=3, d1=2, d2=3, c=4, w=3):
+    """(lenv, w1, w2, renv, mask) whose effective matrix is Hermitian: every
+    environment slice and MPO element is a Hermitian matrix."""
+    lenv = hermitian_stack(rng, w, b, dtype).transpose(1, 0, 2)
+    renv = hermitian_stack(rng, w, c, dtype).transpose(1, 0, 2)
+    w1 = hermitian_stack(rng, w * w, d1, dtype).reshape(w, w, d1, d1)
+    w2 = hermitian_stack(rng, w * w, d2, dtype).reshape(w, w, d2, d2)
+    mask = rng.random((b, d1, d2, c)) < 0.5
+    return lenv, w1.transpose(0, 2, 3, 1), w2.transpose(0, 2, 3, 1), renv, mask
+
+
+def two_site_matrix(lenv, w1, w2, renv, mask, penalties=()):
+    """The sector matrix by one einsum: rows (bra) and columns (ket)."""
+    h = np.einsum("awb,wstv,vpqu,cud->aspcbtqd", lenv, w1, w2, renv)
+    flat = mask.ravel()
+    h = h.reshape(mask.size, mask.size)[np.ix_(flat, flat)]
+    for phi in penalties:
+        h = h + ev.PENALTY * np.outer(phi, phi.conj())
+    return h
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n_penalties", [0, 2])
+def test_dense_lowest_pair_matches_eigh(dtype, n_penalties):
+    rng = np.random.default_rng(31 + n_penalties)
+    lenv, w1, w2, renv, mask = random_two_site_problem(rng, dtype)
+    n = int(mask.sum())
+    assert n <= ev.DENSE_MAX
+    penalties = []
+    for _ in range(n_penalties):
+        phi = rng.normal(size=n).astype(dtype)
+        penalties.append(phi / np.linalg.norm(phi))
+    val, vec, count = ev._lowest(lenv, w1, w2, renv, mask,
+                                 np.ones(n, dtype=dtype), penalties)
+    h = two_site_matrix(lenv, w1, w2, renv, mask, penalties)
+    vals, vecs = np.linalg.eigh(h)
+    assert count == n
+    assert val == pytest.approx(vals[0], abs=1e-12 * abs(vals).max())
+    assert vals[1] - vals[0] > 1e-6      # a non-degenerate lowest level
+    assert abs(np.vdot(vecs[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
+    assert vec.dtype == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_lowest_pair_of_a_degenerate_level_lies_in_its_eigenspace(
+        dtype):
+    # h = A (x) 1 (x) 1 (x) 1 + 1 (x) 1 (x) B (x) 1: the first site is free,
+    # and the mask keeps both of its states, so each level is doubly
+    # degenerate
+    rng = np.random.default_rng(37)
+    b, d1, d2, c = 3, 2, 3, 4
+    lenv = np.zeros((b, 2, b), dtype=dtype)
+    lenv[:, 0], lenv[:, 1] = hermitian_stack(rng, 1, b, dtype)[0], np.eye(b)
+    w1 = np.zeros((2, d1, d1, 2), dtype=dtype)
+    w1[0, :, :, 0] = w1[1, :, :, 1] = np.eye(d1)
+    w2 = np.zeros((2, d2, d2, 1), dtype=dtype)
+    w2[0, :, :, 0] = np.eye(d2)
+    w2[1, :, :, 0] = hermitian_stack(rng, 1, d2, dtype)[0]
+    renv = np.eye(c, dtype=dtype)[:, None, :]
+    mask = np.broadcast_to(rng.random((b, 1, d2, c)) < 0.6, (b, d1, d2, c))
+    n = int(mask.sum())
+    val, vec, _ = ev._lowest(lenv, w1, w2, renv, mask,
+                             np.ones(n, dtype=dtype), [])
+    vals, vecs = np.linalg.eigh(two_site_matrix(lenv, w1, w2, renv, mask))
+    assert vals[1] - vals[0] < 1e-12 and vals[2] - vals[1] > 1e-6
+    assert val == pytest.approx(vals[0], abs=1e-12 * abs(vals).max())
+    space = vecs[:, :2]
+    assert np.linalg.norm(space.conj().T @ vec) == pytest.approx(1.0,
+                                                                 abs=1e-10)
+
+
+def test_lanczos_matvec_matches_tensordot(monkeypatch):
+    rng = np.random.default_rng(41)
+    lenv, w1, w2, renv, _ = random_two_site_problem(
+        rng, complex, b=5, d1=3, d2=3, c=6, w=4)
+    mask = rng.random((5, 3, 3, 6)) < 0.5
+    n = int(mask.sum())
+    assert n > ev.DENSE_MAX
+    phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phi /= np.linalg.norm(phi)
+    ops = []
+
+    def capture(op, k, which, v0, tol):
+        ops.append(op)
+        return np.zeros(1), v0[:, None]
+
+    monkeypatch.setattr(ev.spla, "eigsh", capture)
+    ev._lowest(lenv, w1, w2, renv, mask, np.ones(n, dtype=complex), [phi])
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    full = np.zeros(mask.shape, dtype=complex)
+    full[mask] = x
+    t = np.tensordot(lenv, full, axes=(2, 0))
+    t = np.tensordot(t, w1, axes=((1, 2), (0, 2)))
+    t = np.tensordot(t, w2, axes=((1, 4), (2, 0)))
+    want = np.tensordot(t, renv, axes=((1, 4), (2, 1)))[mask]
+    want += ev.PENALTY * phi * np.vdot(phi, x)
+    got = ops[0].matvec(x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    h = two_site_matrix(lenv, w1, w2, renv, mask, [phi])
+    assert np.linalg.norm(h @ x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def blocked_matrix(rng, values, dtype=complex):
+    """A matrix block diagonal in alternating row and column labels, with
+    the given singular values per block; returns (m, row_labels,
+    col_labels)."""
+    row_labels = np.arange(7, dtype=np.int8) % 2
+    col_labels = np.arange(8, dtype=np.int8) % 2
+    m = np.zeros((7, 8), dtype=dtype)
+    for q, s in enumerate(values):
+        rows = np.flatnonzero(row_labels == q)
+        cols = np.flatnonzero(col_labels == q)
+        u = np.linalg.qr(rng.normal(size=(rows.size, len(s)))
+                         + 1j * rng.normal(size=(rows.size, len(s))))[0]
+        v = np.linalg.qr(rng.normal(size=(cols.size, len(s)))
+                         + 1j * rng.normal(size=(cols.size, len(s))))[0]
+        m[np.ix_(rows, cols)] = (u * s) @ v.conj().T
+    return m, row_labels, col_labels
+
+
+def test_blocked_split_keeps_a_multiplet_across_blocks_whole():
+    rng = np.random.default_rng(43)
+    pair = 2.0 * (1 - 1e-13)
+    m, rl, cl = blocked_matrix(rng, ([3.0, 2.0, 1.0], [pair, 0.5]))
+    total = 9 + 4 + 1 + pair ** 2 + 0.25
+    # the cutoff falls between the two members of the pair
+    cutoff = 0.5 * (4 + pair ** 2) / total
+    u, s, vh, labels, dropped = ev._split_blocked(m, rl, cl, 8, cutoff)
+    np.testing.assert_allclose(s, [3.0, 2.0, pair], rtol=1e-12)
+    assert labels.tolist() == [0, 0, 1]
+    assert dropped == pytest.approx((1 + 0.25) / total, rel=1e-10)
+    # each kept vector lives on the rows and columns of its block
+    for j, q in enumerate(labels):
+        assert not np.any(u[rl != q, j]) and not np.any(vh[j, cl != q])
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(vh @ vh.conj().T, np.eye(3), atol=1e-12)
+    # at full rank the split reconstructs the matrix
+    u, s, vh, labels, dropped = ev._split_blocked(m, rl, cl, 8, 0.0)
+    assert labels.tolist() == [0, 0, 1, 0, 1] and dropped < 1e-14
+    np.testing.assert_allclose((u * s) @ vh, m, atol=1e-12)
+
+
+def test_blocked_split_reports_honest_weight_under_the_hard_cap():
+    rng = np.random.default_rng(47)
+    m, rl, cl = blocked_matrix(rng, ([3.0, 2.0, 1.0], [2.0, 0.5]))
+    total = 9 + 4 + 1 + 4 + 0.25
+    # the cap splits the pair at 2: one member kept, one dropped
+    u, s, vh, labels, dropped = ev._split_blocked(m, rl, cl, 2, 0.0)
+    np.testing.assert_allclose(s, [3.0, 2.0], rtol=1e-12)
+    assert labels.tolist() == [0, 0]
+    assert dropped == pytest.approx((1 + 4 + 0.25) / total, rel=1e-10)
+    kept = (u * s) @ vh
+    assert np.linalg.norm(m - kept) ** 2 / total == pytest.approx(dropped,
+                                                                  rel=1e-10)
+
+
+def test_blocked_split_rejects_a_non_finite_matrix():
+    m, rl, cl = blocked_matrix(np.random.default_rng(53),
+                               ([1.0, 0.5], [0.7]))
+    m[2, 4] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        ev._split_blocked(m, rl, cl, 8, 0.0)
+
+
+def test_ground_state_rejects_a_bad_rank_or_cutoff():
+    with pytest.raises(ValueError, match="max_rank must be >= 1"):
+        ev.ground_state(P_SMALL, max_rank=0)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        ev.ground_state(P_SMALL, cutoff=-1e-3)

@@ -405,3 +405,26 @@ class TestMpoExpectation:
         vec = mps_to_vec(st)
         want = (vec.conj() @ mpo_to_mat(op) @ vec) / (vec.conj() @ vec)
         assert m.mpo_expectation(st, op) == pytest.approx(want, abs=1e-10)
+
+    def test_transfer_matches_tensordot_left_and_mirrored_right(self):
+        rng = np.random.default_rng(57)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        site, w = cplx(5, 3, 6), cplx(4, 3, 3, 2)
+        # left: (bra, mpo, ket) of the bond left of the site, to the right
+        env = cplx(5, 4, 5)
+        t = np.tensordot(env, site, axes=(2, 0))
+        t = np.tensordot(w, t, axes=((0, 2), (1, 2)))
+        want = np.tensordot(site.conj(), t, axes=((0, 1), (2, 0)))
+        got = m._mpo_transfer(env, site, w)
+        assert got.shape == (6, 2, 6)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # right: the same step on the mirrored site and MPO tensor
+        env = cplx(6, 2, 6)
+        want = np.einsum("aob,woiv,kil,bvl->awk", site.conj(), w, site, env)
+        got = m._mpo_transfer(env, site.transpose(2, 1, 0),
+                              w.transpose(3, 1, 2, 0))
+        assert got.shape == (5, 4, 5)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
