@@ -157,13 +157,40 @@ def cmd_sweep(args) -> int:
     return EXIT_FLAGGED if flagged else EXIT_OK
 
 
+def _int_list(flag: str, text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated integers, got "
+                          f"{text!r}") from None
+
+
+def _study_lists(cfg, args):
+    """``(D_list, nmax_list)`` of ``converge``, each entry checked against
+    the config before any solve; no ``--nmax-list`` means the model's."""
+    import dataclasses
+
+    D_list = _int_list("--bond-dims", args.bond_dims)
+    nmax_list = _int_list("--nmax-list", args.nmax_list) \
+        if args.nmax_list else [cfg.model.n_max]
+    try:
+        for D in D_list:
+            dataclasses.replace(cfg.evolution, max_rank=D)
+    except ValueError as exc:
+        raise ConfigError(f"--bond-dims: D={D}: {exc}") from exc
+    try:
+        for n_max in nmax_list:
+            dataclasses.replace(cfg.model, n_max=n_max)
+    except ConfigError as exc:
+        raise ConfigError(f"--nmax-list: n_max={n_max}: {exc}") from exc
+    return D_list, nmax_list
+
+
 def cmd_converge(args) -> int:
     from .sweep import convergence_study, output_path, write_convergence_csv
 
     cfg = _load_config(args)
-    D_list = [int(v) for v in args.bond_dims.split(",") if v]
-    nmax_list = [int(v) for v in args.nmax_list.split(",") if v] \
-        if args.nmax_list else [cfg.model.n_max]
+    D_list, nmax_list = _study_lists(cfg, args)
     study = convergence_study(cfg, D_list, nmax_list, progress=_say(args))
     for r in study.rows:
         print(f"D={r.D:<3d} n_max={r.n_max}  T_max={r.T_max:.4f}  "

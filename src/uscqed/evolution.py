@@ -53,8 +53,11 @@ its lowest eigenpair from LAPACK ``syevr``/``heevr``, a larger one goes to
 Lanczos on a `LinearOperator` whose matvec is a chain of reshapes and
 matmuls.  The split launches `tensors.svd` per parity block and runs one
 `truncation_rank` over the merged values, writing only the kept vectors
-(no `split_matrix` call).  `bound_states` takes the even and odd minima
-and the even minimum orthogonal to the ground state.
+(no `split_matrix` call).  `raman_states` takes the two even states a
+Raman gap reads, the even minimum and the even minimum orthogonal to it;
+`bound_states` adds the odd minimum for the bound-state table.  When the
+scatterer's window is the whole chain, `embedded_ground_state` returns the
+window solve it is given.
 """
 
 from __future__ import annotations
@@ -611,24 +614,38 @@ def bound_state_seed(params: ModelParams, which: str) -> MPS:
     return product_state(params.local_dims(), occ)
 
 
+def raman_states(params: ModelParams, max_rank: int = SOLVE_RANK,
+                 cutoff: float = SOLVE_CUTOFF, tol: float = SOLVE_TOL):
+    """The two even solves a Raman gap reads: ``(ground, excited)``.
+
+    A Raman-converted photon leaves the even photon-bound state behind, so
+    the frequency it loses is E2 - E_GS.  ``ground`` is the even minimum,
+    ``excited`` the even minimum orthogonal to it (seeded by the excited
+    scatterer with one photon); each is `ground_state`'s ``(energy, state,
+    trace)``.  For small couplings E2 can be a delocalized band state
+    rather than a discrete bound level; callers reading E2 - E_GS as a
+    Raman gap should keep that in mind.
+    """
+    ground = ground_state(params, max_rank, cutoff, parity=+1, tol=tol)
+    excited = ground_state(params, max_rank, cutoff, parity=+1,
+                           seed=bound_state_seed(params, "e2"),
+                           orthogonal_to=[ground[1]], tol=tol)
+    return ground, excited
+
+
 def bound_states(params: ModelParams, max_rank: int = SOLVE_RANK,
                  cutoff: float = SOLVE_CUTOFF,
                  tol: float = SOLVE_TOL) -> BoundStates:
     """Ground state and the two lowest bound excitations, by parity sectors.
 
-    Three DMRG solves: E_GS is the even minimum, E1 the odd minimum, and E2
-    the even minimum orthogonal to the ground state (seeded by the excited
-    scatterer with one photon).  For small couplings E2 can be a
-    delocalized band state rather than a discrete bound level; callers
-    reading E2 - E_GS as a Raman gap should keep that in mind.
+    The two even solves of `raman_states` (E_GS and E2) and the odd minimum
+    E1, with the parity of each state; only the bound-state table reads E1
+    and the parities.
     """
-    solves = [ground_state(params, max_rank, cutoff, parity=+1, tol=tol)]
-    solves.append(ground_state(params, max_rank, cutoff, parity=-1, tol=tol))
-    solves.append(ground_state(
-        params, max_rank, cutoff, parity=+1,
-        seed=bound_state_seed(params, "e2"), orthogonal_to=[solves[0][1]],
-        tol=tol))
-    energies, states, traces = (list(col) for col in zip(*solves))
+    ground, excited = raman_states(params, max_rank, cutoff, tol)
+    odd = ground_state(params, max_rank, cutoff, parity=-1, tol=tol)
+    energies, states, traces = (list(col) for col in zip(ground, odd,
+                                                         excited))
     parities = [parity_expectation(s, params) for s in states]
     return BoundStates(energies, states, parities, traces)
 
@@ -672,22 +689,21 @@ def scatterer_window(params: ModelParams, radius: int = WINDOW_RADIUS):
 def embedded_ground_state(params: ModelParams, max_rank: int = SOLVE_RANK,
                           cutoff: float = SOLVE_CUTOFF,
                           radius: int = WINDOW_RADIUS, tol: float = SOLVE_TOL,
-                          core: MPS = None):
+                          core=None):
     """Ground state of a long chain via its localized photon cloud.
 
     The cloud around the scatterer decays exponentially, so the state is
     solved by DMRG on the window of ``2*radius+1`` sites around j0 (or taken
-    from ``core``, a ground state of that window solved already), padded
-    with vacuum, and polished by DMRG sweeps on the full chain.  When the
-    window is the whole chain, a given ``core`` is returned as it is.
-    Returns ``(energy, state, trace)`` like `ground_state`.
+    from ``core``, the ``(energy, state, trace)`` of a ground-state solve
+    of that window made already), padded with vacuum, and polished by DMRG
+    sweeps on the full chain.  When the window is the whole chain, the
+    window solve is the answer and is returned as it is.  Returns
+    ``(energy, state, trace)`` like `ground_state`.
     """
     lo, small = scatterer_window(params, radius)
-    if small.L == params.L:
-        if core is None:
-            return ground_state(params, max_rank, cutoff, tol=tol)
-        return energy(core, hamiltonian_mpo(params)), core, DmrgTrace()
     if core is None:
-        _, core, _ = ground_state(small, max_rank, cutoff, tol=tol)
-    seed = embed_state(core, params.L, lo, params.local_dims())
+        core = ground_state(small, max_rank, cutoff, tol=tol)
+    if small.L == params.L:
+        return core
+    seed = embed_state(core[1], params.L, lo, params.local_dims())
     return ground_state(params, max_rank, cutoff, seed=seed, tol=tol)

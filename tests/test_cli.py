@@ -29,16 +29,15 @@ GOOD = {
 
 @pytest.fixture
 def no_solves(monkeypatch):
-    """Make any ground- or bound-state solve fail the test loudly."""
+    """Make any ground- or bound-state solve fail the test loudly.
+
+    Every solve, whichever entry point starts it, runs `ev.ground_state`.
+    """
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a solve started for a config that is invalid")
 
-    monkeypatch.setattr(sw, "bound_data", forbidden)
-    monkeypatch.setattr(sw, "bound_states", forbidden)
-    monkeypatch.setattr(sw, "embedded_ground_state", forbidden)
-    monkeypatch.setattr(ev, "embedded_ground_state", forbidden)
-    monkeypatch.setattr(ev, "bound_states", forbidden)
+    monkeypatch.setattr(ev, "ground_state", forbidden)
 
 
 def write_config(tmp_path, **sections):
@@ -97,6 +96,19 @@ def test_run_geometry_is_rejected_before_any_solve(
         tmp_path, capsys, no_solves, command, section, values, message):
     path = write_config(tmp_path, **{section: values})
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bond-dims", "4,x"], "--bond-dims takes comma-separated integers"),
+    (["--bond-dims", "4,1"], "--bond-dims: D=1: max_rank must be at least 2"),
+    (["--nmax-list", "1,0"], "--nmax-list: n_max=0: n_max must be >= 1"),
+], ids=["not-an-integer", "rank-one", "zero-n_max"])
+def test_converge_lists_are_rejected_before_any_solve(
+        tmp_path, capsys, no_solves, flags, message):
+    path = write_config(tmp_path)
+    assert cli.main(["converge", "--config", path, *flags]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -11,7 +11,6 @@ from uscqed import evolution as ev
 from uscqed import model as M
 from uscqed import sweep as sw
 from uscqed.errors import ConfigError
-from uscqed.evolution import BoundStates
 from uscqed.model import ModelParams
 
 # Free chain: the packet transmits cleanly, so rows are flag-free and cheap.
@@ -179,24 +178,24 @@ def test_bound_state_failure_marks_all_rows_of_that_coupling(tmp_path,
 
 def test_bound_data_passes_its_radius_to_both_solvers(monkeypatch):
     seen = {}
+    ground = (0.0, "window gs", None)
 
-    def fake_bound_states(params, **kw):
+    def fake_raman_states(params, **kw):
         seen["window_L"], seen["window_j0"] = params.L, params.j0
-        return BoundStates([0.0, 0.5, 1.5], ["window gs", "e1", "e2"],
-                           [1, -1, 1], [])
+        return ground, (1.5, "e2", None)
 
     def fake_ground_state(params, **kw):
         seen["gs_L"], seen["gs_radius"] = params.L, kw.get("radius")
         seen["gs_core"] = kw.get("core")
         return -0.25, "gs", None
 
-    monkeypatch.setattr(sw, "bound_states", fake_bound_states)
+    monkeypatch.setattr(sw, "raman_states", fake_raman_states)
     monkeypatch.setattr(sw, "embedded_ground_state", fake_ground_state)
     params = ModelParams(L=30, g=0.5, j0=15, n_max=1)
     gap, gs, e_gs = sw.bound_data(params, radius=3)
     assert (gap, gs, e_gs) == (1.5, "gs", -0.25)
     assert seen == {"window_L": 7, "window_j0": 3,
-                    "gs_L": 30, "gs_radius": 3, "gs_core": "window gs"}
+                    "gs_L": 30, "gs_radius": 3, "gs_core": ground}
 
 
 @pytest.mark.parametrize("L,radius", [(6, sw.WINDOW_RADIUS), (12, 2)])
@@ -214,16 +213,27 @@ def test_bound_data_solves_the_ground_state_once(monkeypatch, L, radius):
     params = ModelParams(L=L, g=0.6, j0=L // 2, n_max=1)
     _, gs, e_gs = sw.bound_data(params, radius=radius)
     window = min(L, 2 * radius + 1)
-    # gs, E1 and E2 on the window; a longer chain adds one polish from the
-    # embedded window ground state, never a second solve from scratch
-    want = [(window, 1, 0, True), (window, -1, 0, True),
-            (window, 1, 1, False)]
+    # the two even states of the gap on the window, no odd state; a longer
+    # chain adds one polish from the embedded window ground state, never a
+    # second solve from scratch
+    want = [(window, 1, 0, True), (window, 1, 1, False)]
     if window < L:
         want.append((L, 1, 0, False))
     assert solves == want
     assert gs.L == L
     assert e_gs == pytest.approx(
         ev.energy(gs, M.hamiltonian_mpo(params)), abs=1e-12)
+
+
+def test_bound_data_gap_is_the_bound_state_table_gap_on_a_short_window():
+    # the window (5 sites) is shorter than the chain, so the gap comes
+    # from a chain bound_data does not polish; the table's E_GS and E2 are
+    # the same two solves, bit for bit
+    params = ModelParams(L=12, g=0.6, j0=6, n_max=1)
+    bs = sw.window_bound_states(params, radius=2)
+    ground, excited = ev.raman_states(ev.scatterer_window(params, 2)[1])
+    assert (bs.energies[0], bs.energies[2]) == (ground[0], excited[0])
+    assert sw.bound_data(params, radius=2)[0] == bs.raman_gap
 
 
 def test_convergence_study_rejects_empty_lists(tmp_path):
