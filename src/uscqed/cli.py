@@ -96,23 +96,24 @@ def cmd_bound_states(args) -> int:
     import dataclasses
 
     from .config import couplings
+    from .evolution import bound_states
     from .model import band_edges
-    from .sweep import output_path, window_bound_states, write_table
+    from .sweep import output_path, write_table
 
     cfg = _load_config(args)
     say = _say(args)
     rows = []
     for g in couplings(cfg):
         t0 = time.perf_counter()
-        bs = window_bound_states(dataclasses.replace(cfg.model, g=g))
+        bs = bound_states(dataclasses.replace(cfg.model, g=g))
         e0, e1, e2 = (float(x) for x in bs.energies)
         rows.append({"g": g, "E_GS": e0, "E1": e1, "E2": e2,
                      "parity_GS": float(bs.parities[0]),
                      "parity_E1": float(bs.parities[1]),
                      "parity_E2": float(bs.parities[2]),
-                     "gap": e2 - e0})
+                     "gap": bs.raman_gap})
         say(f"g={g:g}: E_GS={e0:.8f} E1={e1:.8f} E2={e2:.8f} "
-            f"gap={e2 - e0:.8f} ({time.perf_counter() - t0:.1f} s)")
+            f"gap={bs.raman_gap:.8f} ({time.perf_counter() - t0:.1f} s)")
     band = band_edges(cfg.model)
     print(f"band: [{band[0]:.6f}, {band[1]:.6f}]")
     path = output_path(cfg, "bound_states", "csv")
@@ -276,9 +277,11 @@ def cmd_plot(args) -> int:
 
     from .plots import emit_plots
 
-    rows = []
-    with open(args.table, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(args.table, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot open {args.table}: {exc.strerror}")
     sidecar_dir = args.sidecar_dir or os.path.dirname(os.path.abspath(
         args.table))
     out = args.out or os.path.dirname(os.path.abspath(args.table))

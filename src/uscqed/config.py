@@ -216,6 +216,8 @@ def parse_config(path=None, preset: str = None, out: str = None) -> RunConfig:
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:
+            raise ConfigError(f"cannot open {path}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}")
         if not isinstance(data, dict):

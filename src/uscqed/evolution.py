@@ -53,11 +53,11 @@ its lowest eigenpair from LAPACK ``syevr``/``heevr``, a larger one goes to
 Lanczos on a `LinearOperator` whose matvec is a chain of reshapes and
 matmuls.  The split launches `tensors.svd` per parity block and runs one
 `truncation_rank` over the merged values, writing only the kept vectors
-(no `split_matrix` call).  `raman_states` takes the two even states a
-Raman gap reads, the even minimum and the even minimum orthogonal to it;
-`bound_states` adds the odd minimum for the bound-state table.  When the
-scatterer's window is the whole chain, `embedded_ground_state` returns the
-window solve it is given.
+(no `split_matrix` call).  Given a model, `raman_states` solves its
+`scatterer_window` for the two even states a Raman gap reads, the even
+minimum and the even minimum orthogonal to it; `bound_states` adds the odd
+minimum for the bound-state table.  When the window is the whole chain,
+`embedded_ground_state` returns the window solve it is given.
 """
 
 from __future__ import annotations
@@ -614,39 +614,39 @@ def bound_state_seed(params: ModelParams, which: str) -> MPS:
     return product_state(params.local_dims(), occ)
 
 
-def raman_states(params: ModelParams, max_rank: int = SOLVE_RANK,
-                 cutoff: float = SOLVE_CUTOFF, tol: float = SOLVE_TOL):
+def raman_states(params: ModelParams):
     """The two even solves a Raman gap reads: ``(ground, excited)``.
 
     A Raman-converted photon leaves the even photon-bound state behind, so
-    the frequency it loses is E2 - E_GS.  ``ground`` is the even minimum,
-    ``excited`` the even minimum orthogonal to it (seeded by the excited
-    scatterer with one photon); each is `ground_state`'s ``(energy, state,
-    trace)``.  For small couplings E2 can be a delocalized band state
-    rather than a discrete bound level; callers reading E2 - E_GS as a
-    Raman gap should keep that in mind.
+    the frequency it loses is E2 - E_GS.  On `scatterer_window` at the
+    `SOLVE_*` policy, ``ground`` is the even minimum, ``excited`` the even
+    minimum orthogonal to it (seeded by the excited scatterer with one
+    photon); each is `ground_state`'s ``(energy, state, trace)``.  For
+    small couplings E2 can be a delocalized band state rather than a
+    discrete bound level; callers reading E2 - E_GS as a Raman gap should
+    keep that in mind.
     """
-    ground = ground_state(params, max_rank, cutoff, parity=+1, tol=tol)
-    excited = ground_state(params, max_rank, cutoff, parity=+1,
-                           seed=bound_state_seed(params, "e2"),
-                           orthogonal_to=[ground[1]], tol=tol)
+    window = scatterer_window(params)[1]
+    ground = ground_state(window, parity=+1)
+    excited = ground_state(window, parity=+1,
+                           seed=bound_state_seed(window, "e2"),
+                           orthogonal_to=[ground[1]])
     return ground, excited
 
 
-def bound_states(params: ModelParams, max_rank: int = SOLVE_RANK,
-                 cutoff: float = SOLVE_CUTOFF,
-                 tol: float = SOLVE_TOL) -> BoundStates:
+def bound_states(params: ModelParams) -> BoundStates:
     """Ground state and the two lowest bound excitations, by parity sectors.
 
     The two even solves of `raman_states` (E_GS and E2) and the odd minimum
-    E1, with the parity of each state; only the bound-state table reads E1
-    and the parities.
+    E1 on the same window, with the parity of each state; only the
+    bound-state table reads E1 and the parities.
     """
-    ground, excited = raman_states(params, max_rank, cutoff, tol)
-    odd = ground_state(params, max_rank, cutoff, parity=-1, tol=tol)
+    window = scatterer_window(params)[1]
+    ground, excited = raman_states(params)
+    odd = ground_state(window, parity=-1)
     energies, states, traces = (list(col) for col in zip(ground, odd,
                                                          excited))
-    parities = [parity_expectation(s, params) for s in states]
+    parities = [parity_expectation(s, window) for s in states]
     return BoundStates(energies, states, parities, traces)
 
 

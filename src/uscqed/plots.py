@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .model import ModelParams, band_edges
 from .oracles import resonance_frequency
 
@@ -201,7 +201,7 @@ def _spectral_heatmap(rows, out_dir, sidecar_dir, value_key, name, title,
         grid[j] = np.interp(omega, om[order][ok], v[order][ok])
     data = os.path.join(out_dir, f"{name}_data.csv")
     _heatmap_csv(data, omega, gs, grid)
-    over_path, over_plot = overlay(by_g, gs, out_dir)
+    over_path, over_plot = overlay(by_g, gs, out_dir, gaps)
     script = os.path.join(out_dir, f"{name}.gp")
     _write(script, _png_header(name, title) + f"""\
 set xlabel "omega_in"
@@ -214,18 +214,19 @@ splot '{os.path.basename(data)}' using 1:2:3 with pm3d notitle{over_plot}
 
 
 def _fig4(rows, out_dir, sidecar_dir):
-    def overlay(by_g, gs, out):
+    def overlay(by_g, gs, out, gaps):
         line = os.path.join(out, "fig4_resonance.csv")
         with open(line, "w", encoding="utf-8") as fh:
             fh.write("# g omega_R\n")
             for g in gs:
                 r = by_g[g][2]
-                try:
+                try:    # ValueError: a bad n_max, or DegenerateError at g=0
                     p = ModelParams(L=3, g=g, j0=1,
                                     n_max=int(r.get("n_max", 4)))
                     fh.write(f"{g:.10g} {resonance_frequency(p):.10g}\n")
-                except Exception:
-                    pass
+                except (ValueError, ConvergenceError) as exc:
+                    gaps.append(f"run {r.get('run_id')}: no omega_R at "
+                                f"g={g:g} ({type(exc).__name__}: {exc})")
         return line, (", \\\n  'fig4_resonance.csv' using 2:1:(0) "
                       "with lines lw 2 lc 'white' title 'omega_R'")
 
@@ -234,7 +235,7 @@ def _fig4(rows, out_dir, sidecar_dir):
 
 
 def _fig5(rows, out_dir, sidecar_dir):
-    def overlay(by_g, gs, out):
+    def overlay(by_g, gs, out, gaps):
         line = os.path.join(out, "fig5_threshold.csv")
         wrote = False
         with open(line, "w", encoding="utf-8") as fh:

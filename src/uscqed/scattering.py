@@ -242,22 +242,21 @@ def analysis_window(params: ModelParams, exclude_radius: int) -> np.ndarray:
 
 def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
                    dt: float, order: int, max_rank: int, cutoff: float,
-                   n_snapshots: int, gs: MPS = None, gs_energy: float = None,
+                   n_snapshots: int, gs: MPS, gs_energy: float,
                    exclude_radius: int = 10, measure_energy: bool = False,
                    measure_nk: bool = False) -> ScatteringResult:
     """Propagate one packet and collect everything the analyses need.
 
     The stepper settings ``dt`` to ``n_snapshots`` have no defaults here:
     callers pass them, most as ``**EvolutionParams.run_kwargs()``, so
-    `evolution.EvolutionParams` stays their one home.  The ground state is
-    computed here, with the solver's defaults, unless both ``gs`` and
-    ``gs_energy`` are supplied (pass them when scanning carriers at fixed
-    coupling).  Edge contamination is watched on both chain ends for open
-    boundaries but only on the far-from-wall end for the mirror geometry,
-    where bouncing off the wall is the point of the experiment.  The steps
-    run as ``min(n_snapshots, n_steps)`` `evolve` calls whose sizes differ
-    by at most one step, each followed by a snapshot, after the one at
-    t = 0.  ``measure_nk`` stores windowed momentum occupations on every
+    `evolution.EvolutionParams` stays their one home.  A run solves
+    nothing: callers solve ``gs`` and its energy ``gs_energy`` once per
+    coupling and share them across runs.  Edge contamination is watched on
+    both chain ends for open boundaries but only on the far-from-wall end
+    for the mirror geometry, where bouncing off the wall is the point of
+    the experiment.  The steps run as ``min(n_snapshots, n_steps)``
+    `evolve` calls whose sizes differ by at most one step, each followed by
+    a snapshot, after the one at t = 0.  ``measure_nk`` stores windowed momentum occupations on every
     snapshot, the first and last serving as the run's initial and final
     ones; each costs a one-body correlator.  The elastic amplitude
     ``phi_x`` is taken once per run, on `ScatteringResult.last_clean`, the
@@ -268,8 +267,6 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    if gs is None or gs_energy is None:
-        gs_energy, gs, _ = embedded_ground_state(params)
     state, info, launch_discarded = prepare_input(gs, params, spec,
                                                   max_rank, cutoff)
 
@@ -592,7 +589,9 @@ def mirror_experiment(g: float, omega: float, j0: int = 60,
         v = abs(group_velocity(
             float(momentum_from_frequency(omega, params)), params))
         t_final = 2.4 * (j0 - x0 + mirror_dx) / v
-    result = run_scattering(params, spec, t_final, **run_kw)
+    gs_energy, gs, _ = embedded_ground_state(params)
+    result = run_scattering(params, spec, t_final, gs=gs, gs_energy=gs_energy,
+                            **run_kw)
     ine = inelastic_spectrum(result, gap) if gap is not None else None
     return result, ine
 

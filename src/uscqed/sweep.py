@@ -2,12 +2,13 @@
 
 One row per (g, omega_in) point, run one after another in grid order.
 The gap's two even bound states and the embedded ground state are solved
-once per coupling and shared read-only by that coupling's runs; each run
-appends its row atomically, so an interrupted sweep resumes by skipping
-every coordinate already present for the same config hash.  Run failures
-become rows with an error flag instead of aborting the sweep.  Every file
-a command writes is named and formatted here: tables and metadata by
-`output_path` and `write_table`, run sidecars by `run_point`.
+once per coupling, by `bound_data` from the model alone, and shared
+read-only by that coupling's runs; each run appends its row atomically, so
+an interrupted sweep resumes by skipping every coordinate already present
+for the same config hash.  Run failures become rows with an error flag
+instead of aborting the sweep.  Every file a command writes is named and
+formatted here: tables and metadata by `output_path` and `write_table`,
+run sidecars by `run_point`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from . import scattering as sc
 from .config import RunConfig, config_hash, grid
 from .errors import ConfigError
-from .evolution import (WINDOW_RADIUS, bound_states, embedded_ground_state,
-                        raman_states, scatterer_window)
+from .evolution import embedded_ground_state, raman_states
 from .model import ModelParams
 
 # |T + R + P_ine - 1| beyond this marks a row as violating flux balance.
@@ -131,27 +131,18 @@ def sweep_path(config: RunConfig) -> str:
     return output_path(config, "sweep", "csv")
 
 
-def window_bound_states(params: ModelParams, radius: int = WINDOW_RADIUS):
-    """`BoundStates` on the window around j0, for the bound-state table.
-
-    Its E_GS and E2 are `bound_data`'s window solves, so the table's gap is
-    the one a sweep uses.
-    """
-    return bound_states(scatterer_window(params, radius)[1])
-
-
-def bound_data(params: ModelParams, radius: int = WINDOW_RADIUS):
+def bound_data(params: ModelParams):
     """(gap, gs, gs_energy) for one coupling; gap from a reduced chain.
 
-    The Raman gap E2 - E_GS comes from the two even solves of
-    `raman_states` on a window around the scatterer; no odd state is
+    The Raman gap E2 - E_GS, the bound-state table's, comes from the two
+    even solves of `raman_states` on the scatterer window; no odd state is
     solved.  The window's ground state, embedded in the full chain and
     polished there, is what scattering runs build packets on, so each
     coupling solves its ground state once; when the window is the whole
     chain, it is that state and its energy.
     """
-    ground, excited = raman_states(scatterer_window(params, radius)[1])
-    e_gs, gs, _ = embedded_ground_state(params, radius=radius, core=ground)
+    ground, excited = raman_states(params)
+    e_gs, gs, _ = embedded_ground_state(params, core=ground)
     return float(excited[0] - ground[0]), gs, float(e_gs)
 
 

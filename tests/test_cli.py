@@ -65,6 +65,20 @@ def test_unreadable_config_files_are_config_errors(tmp_path, capsys):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
+def test_a_config_path_that_is_a_directory_is_a_config_error(tmp_path,
+                                                             capsys):
+    assert cli.main(["ground-state", "--config", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    assert f"cannot open {tmp_path}" in capsys.readouterr().err
+
+
+def test_a_missing_plot_table_is_a_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert cli.main(["plot", "--figure", "fig2", "--table", missing]) \
+        == cli.EXIT_CONFIG
+    assert f"cannot open {missing}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [["sweep", "--threads", "2"]]
                          + [[c, "--seedless"] for c in COMMANDS]
                          + [["ground-state", "--checkpoint"],

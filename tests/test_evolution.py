@@ -367,7 +367,7 @@ def test_decoupled_chain_single_photon_relaxes_to_band_bottom():
 
 def test_bound_states_match_dense_spectrum():
     p = M.ModelParams(L=5, g=0.5, j0=2, n_max=2)
-    bs = ev.bound_states(p, max_rank=12)
+    bs = ev.bound_states(p)
     vals, par = dense_parity_levels(p)
     even = vals[par > 0.5]
     odd = vals[par < -0.5]
@@ -382,12 +382,18 @@ def test_bound_states_match_dense_spectrum():
 
 
 def test_every_returned_state_has_exact_parity():
-    # max_rank 6 truncates, and the split keeps every bond index in one sector
+    # max_rank 6 truncates, and the split keeps every bond index in one
+    # sector: the three solves of bound_states, at that rank
     p = M.ModelParams(L=6, g=0.9, j0=2, n_max=2)
-    bs = ev.bound_states(p, max_rank=6)
+    _, ground, _ = ev.ground_state(p, max_rank=6, parity=+1)
+    _, odd, _ = ev.ground_state(p, max_rank=6, parity=-1)
+    _, excited, _ = ev.ground_state(p, max_rank=6, parity=+1,
+                                    seed=ev.bound_state_seed(p, "e2"),
+                                    orthogonal_to=[ground])
     long = M.ModelParams(L=10, g=0.9, j0=5, n_max=2)
     _, gs, _ = ev.embedded_ground_state(long, max_rank=6, radius=2)
-    got = bs.parities + [M.parity_expectation(gs, long)]
+    got = [M.parity_expectation(s, p) for s in (ground, odd, excited)]
+    got.append(M.parity_expectation(gs, long))
     assert got == pytest.approx([1.0, -1.0, 1.0, 1.0], abs=1e-10)
 
 

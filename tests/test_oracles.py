@@ -80,7 +80,7 @@ def test_ed_keeps_the_decoupled_rwa_vacuum():
     assert res.residual <= 1e-10
     assert res.bound["gs"] == pytest.approx(0.0, abs=1e-10)
     assert res.bound["e2"] == pytest.approx(even[1], abs=1e-10)
-    bs = bound_states(p, max_rank=8)
+    bs = bound_states(p)
     assert bs.energies[0] == pytest.approx(res.bound["gs"], abs=1e-10)
 
 

@@ -48,6 +48,22 @@ def test_fig4_and_fig5_from_a_two_coupling_sweep(tmp_path):
     assert thresholds.splitlines()[1:] == ["0.4 0.94", "0.8 0.98"]
 
 
+def test_fig4_reports_a_coupling_without_a_resonance_as_a_gap(tmp_path):
+    # at g = 0 the polariton levels are degenerate, so the overlay has no
+    # point there: the row is named in the gap report, not dropped silently
+    rows = sweep_table(tmp_path)[:2]
+    rows[0]["g"] = 0.0
+    out = tmp_path / "plots"
+    _, gaps = emit_plots(rows, "fig4", out_dir=str(out),
+                         sidecar_dir=str(tmp_path))
+    assert len(gaps) == 1
+    assert gaps[0].startswith("run r0: no omega_R at g=0 "
+                              "(DegenerateError: ")
+    assert gaps[0] in (out / "fig4_gaps.txt").read_text(encoding="utf-8")
+    overlay = (out / "fig4_resonance.csv").read_text(encoding="utf-8")
+    assert [line.split()[0] for line in overlay.splitlines()[1:]] == ["0.8"]
+
+
 def test_fig2_renders_from_a_bound_states_table(tmp_path):
     table = tmp_path / "bound_states.csv"
     with open(table, "w", encoding="utf-8", newline="") as fh:

@@ -280,7 +280,8 @@ def test_scatterer_population_comes_off_the_density_sweep():
 def test_run_scattering_rejects_bad_time():
     with pytest.raises(ValueError, match="t_final"):
         sc.run_scattering(P_FREE, SPEC_FREE, t_final=0.0, dt=0.1, order=3,
-                          max_rank=8, cutoff=1e-12, n_snapshots=4)
+                          max_rank=8, cutoff=1e-12, n_snapshots=4,
+                          gs=vacuum(P_FREE), gs_energy=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """One solve policy: every ground and bound state is solved at the
-`SOLVE_*` defaults of `evolution`, so no caller outside it passes its own
-rank, cutoff or tolerance."""
+`SOLVE_*` defaults of `evolution`.  `raman_states` and `bound_states` take
+a model and nothing else, so no policy can be passed to them; no caller
+outside `evolution` passes its own rank, cutoff or tolerance to the two
+solvers that still take one."""
 
 import ast
 import inspect
@@ -9,8 +11,7 @@ import pathlib
 from uscqed import evolution as ev
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "uscqed"
-SOLVERS = ("ground_state", "bound_states", "embedded_ground_state",
-           "raman_states")
+SOLVERS = ("ground_state", "embedded_ground_state")
 POLICY = {"max_rank", "cutoff", "tol"}
 
 
@@ -37,16 +38,17 @@ def own_policy(source: str) -> list:
 
 def test_the_rule_sees_keyword_positional_and_unpacked_settings():
     source = ("e = ground_state(p, parity=-1, seed=s)\n"
-              "b = ev.bound_states(p, tol=1e-6)\n"
+              "b = ev.ground_state(p, tol=1e-6)\n"
               "g = embedded_ground_state(p, 8)\n"
-              "r = raman_states(window, **kw)\n"
+              "r = embedded_ground_state(window, **kw)\n"
               "q = ev.ground_state(*args)\n"
               "c = embedded_ground_state(p, radius=3, core=c)\n"
               "d = ev.raman_states(window)\n"
               "f = solve(p, max_rank=4)\n")
-    assert own_policy(source) == [(2, "bound_states"),
+    assert own_policy(source) == [(2, "ground_state"),
                                   (3, "embedded_ground_state"),
-                                  (4, "raman_states"), (5, "ground_state")]
+                                  (4, "embedded_ground_state"),
+                                  (5, "ground_state")]
 
 
 def test_no_caller_outside_evolution_passes_its_own_solve_settings():
@@ -58,3 +60,8 @@ def test_no_caller_outside_evolution_passes_its_own_solve_settings():
              if path.name != "evolution.py"
              for hit in own_policy(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_bound_state_solvers_take_only_a_model():
+    for solver in (ev.raman_states, ev.bound_states):
+        assert list(inspect.signature(solver).parameters) == ["params"]

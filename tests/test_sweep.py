@@ -176,30 +176,30 @@ def test_bound_state_failure_marks_all_rows_of_that_coupling(tmp_path,
     assert all(math.isnan(r.T) for r in rows)
 
 
-def test_bound_data_passes_its_radius_to_both_solvers(monkeypatch):
+def test_bound_data_passes_the_model_to_both_solvers(monkeypatch):
+    # the window and the solve policy are evolution's: bound_data hands
+    # both solvers the whole model, and the polish the gap's ground state
     seen = {}
     ground = (0.0, "window gs", None)
 
-    def fake_raman_states(params, **kw):
-        seen["window_L"], seen["window_j0"] = params.L, params.j0
+    def fake_raman_states(params):
+        seen["raman_L"] = params.L
         return ground, (1.5, "e2", None)
 
     def fake_ground_state(params, **kw):
-        seen["gs_L"], seen["gs_radius"] = params.L, kw.get("radius")
-        seen["gs_core"] = kw.get("core")
+        seen["gs_L"], seen["gs_kw"] = params.L, kw
         return -0.25, "gs", None
 
     monkeypatch.setattr(sw, "raman_states", fake_raman_states)
     monkeypatch.setattr(sw, "embedded_ground_state", fake_ground_state)
-    params = ModelParams(L=30, g=0.5, j0=15, n_max=1)
-    gap, gs, e_gs = sw.bound_data(params, radius=3)
+    params = ModelParams(L=44, g=0.5, j0=22, n_max=1)
+    gap, gs, e_gs = sw.bound_data(params)
     assert (gap, gs, e_gs) == (1.5, "gs", -0.25)
-    assert seen == {"window_L": 7, "window_j0": 3,
-                    "gs_L": 30, "gs_radius": 3, "gs_core": ground}
+    assert seen == {"raman_L": 44, "gs_L": 44, "gs_kw": {"core": ground}}
 
 
-@pytest.mark.parametrize("L,radius", [(6, sw.WINDOW_RADIUS), (12, 2)])
-def test_bound_data_solves_the_ground_state_once(monkeypatch, L, radius):
+@pytest.mark.parametrize("L", [6, 44])
+def test_bound_data_solves_the_ground_state_once(monkeypatch, L):
     solves = []
     solve = ev.ground_state
 
@@ -211,8 +211,8 @@ def test_bound_data_solves_the_ground_state_once(monkeypatch, L, radius):
 
     monkeypatch.setattr(ev, "ground_state", counted)
     params = ModelParams(L=L, g=0.6, j0=L // 2, n_max=1)
-    _, gs, e_gs = sw.bound_data(params, radius=radius)
-    window = min(L, 2 * radius + 1)
+    _, gs, e_gs = sw.bound_data(params)
+    window = min(L, 2 * ev.WINDOW_RADIUS + 1)
     # the two even states of the gap on the window, no odd state; a longer
     # chain adds one polish from the embedded window ground state, never a
     # second solve from scratch
@@ -226,14 +226,12 @@ def test_bound_data_solves_the_ground_state_once(monkeypatch, L, radius):
 
 
 def test_bound_data_gap_is_the_bound_state_table_gap_on_a_short_window():
-    # the window (5 sites) is shorter than the chain, so the gap comes
-    # from a chain bound_data does not polish; the table's E_GS and E2 are
-    # the same two solves, bit for bit
-    params = ModelParams(L=12, g=0.6, j0=6, n_max=1)
-    bs = sw.window_bound_states(params, radius=2)
-    ground, excited = ev.raman_states(ev.scatterer_window(params, 2)[1])
-    assert (bs.energies[0], bs.energies[2]) == (ground[0], excited[0])
-    assert sw.bound_data(params, radius=2)[0] == bs.raman_gap
+    # the window (41 sites) is shorter than the chain, so the gap comes
+    # from a chain bound_data does not polish; the table's gap is the same
+    # two solves, bit for bit
+    params = ModelParams(L=44, g=0.6, j0=22, n_max=1)
+    assert ev.scatterer_window(params)[1].L < params.L
+    assert sw.bound_data(params)[0] == ev.bound_states(params).raman_gap
 
 
 def test_convergence_study_rejects_empty_lists(tmp_path):
