@@ -282,6 +282,8 @@ def cmd_plot(args) -> int:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot open {args.table}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.table} is not UTF-8: {exc.reason}")
     sidecar_dir = args.sidecar_dir or os.path.dirname(os.path.abspath(
         args.table))
     out = args.out or os.path.dirname(os.path.abspath(args.table))

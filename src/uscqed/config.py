@@ -92,7 +92,7 @@ PRESETS = {
     },
     "paper-fig5-inset": {
         "model": {"L": 481, "g": 0.8, "j0": 460, "n_max": 4,
-                  "boundary": "mirror", "mirror_dx": 20},
+                  "boundary": "mirror"},
         "packet": {"sigma": 2.0, "x0": 380.0, "omega": 1.0},
         "evolution": {"t_final": 800.0},
     },
@@ -220,6 +220,8 @@ def parse_config(path=None, preset: str = None, out: str = None) -> RunConfig:
             raise ConfigError(f"cannot open {path}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8: {exc.reason}")
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
     if preset:

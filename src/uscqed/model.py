@@ -11,6 +11,9 @@ even/odd bond Trotterization.
 ``coupling_mode="full"`` couples g*(b + bdag)(a + adag); ``"rwa"`` keeps
 only the excitation-conserving half g*(bdag a + b adag).
 
+A ``boundary="mirror"`` chain reads its last site L - 1 as a wall that
+sends the packet back past the scatterer, so j0 <= L - 2.
+
 `trotter_gates` stores each bond gate of a `Stage` as a ``(dl*dr, dl*dr)``
 matrix acting on the fused two-site index ``i*dr + j``, the form the TEBD
 kernel multiplies into theta.  It also records which bonds have a term
@@ -34,6 +37,7 @@ from .mps import (MPO, MPS, product_expectation, site_expectations,
 
 @dataclass(frozen=True)
 class ModelParams:
+    """The chain and its scatterer; a mirror chain's wall is site L - 1."""
     L: int
     g: float
     j0: int
@@ -43,7 +47,6 @@ class ModelParams:
     coupling_mode: str = "full"
     scatterer: str = "qubit"
     boundary: str = "open"
-    mirror_dx: int = 20
 
     def __post_init__(self):
         if not 0 <= self.j0 < self.L:
@@ -62,14 +65,9 @@ class ModelParams:
             raise ConfigError(f"unknown scatterer {self.scatterer!r}")
         if self.boundary not in ("open", "mirror"):
             raise ConfigError(f"unknown boundary {self.boundary!r}")
-        if self.boundary == "mirror":
-            if self.mirror_dx < 1:
-                raise ConfigError("mirror_dx must be >= 1")
-            # the wall sits mirror_dx sites past the scatterer
-            if self.L != self.j0 + self.mirror_dx + 1:
-                raise ConfigError(
-                    f"mirror boundary requires L = j0 + mirror_dx + 1, got "
-                    f"L={self.L}, j0={self.j0}, mirror_dx={self.mirror_dx}")
+        if self.boundary == "mirror" and self.j0 > self.L - 2:
+            raise ConfigError(f"mirror boundary: j0={self.j0} must stand "
+                              f"before the wall at site {self.L - 1}")
 
     @property
     def scatterer_dim(self) -> int:
@@ -155,9 +153,9 @@ def onsite_terms(params: ModelParams) -> list[np.ndarray]:
 
 
 def packet_creation_mpo(params: ModelParams, phi: np.ndarray) -> MPO:
-    """Bond-2 MPO for ``sum_x phi_x adag_x`` with the fused-site creation op."""
-    adag_fused = photon_annihilator(params, params.j0).conj().T
-    return wavepacket_mpo(phi, params.local_dims(), {params.j0: adag_fused})
+    """Bond-2 MPO for ``sum_x phi_x adag_x`` on each site's photon ladder."""
+    adags = [a.conj().T for a in photon_annihilators(params)]
+    return wavepacket_mpo(phi, adags)
 
 
 # ---------------------------------------------------------------------------

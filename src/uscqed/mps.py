@@ -115,39 +115,22 @@ def product_state(local_dims: Sequence[int], occupations: Sequence[int]) -> MPS:
     return MPS(sites, ortho_center=0)
 
 
-def wavepacket_mpo(phi: np.ndarray, local_dims: Sequence[int],
-                   creation_ops=None) -> MPO:
+def wavepacket_mpo(phi: np.ndarray, creation_ops: Sequence[np.ndarray]) -> MPO:
     """Bond-2 MPO for the packet creation operator ``sum_x phi_x adag_x``.
 
-    ``creation_ops`` optionally overrides the local creation matrix per site
-    (dict site -> matrix), needed where the photon mode is fused with the
-    scatterer.  Elsewhere the truncated Fock-space ``adag`` is built from
-    ``local_dims``.
+    ``creation_ops[x]`` is the creation matrix of site x, which also fixes
+    that site's local dimension.
     """
     phi = np.asarray(phi, dtype=complex)
-    L = len(local_dims)
+    L = len(creation_ops)
     if phi.shape != (L,):
         raise ShapeError(f"phi has shape {phi.shape}, expected ({L},)")
     total = float(np.sum(np.abs(phi) ** 2))
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"packet coefficients not normalized: sum |phi|^2 = {total}")
-    creation_ops = creation_ops or {}
-
-    def adag_at(x):
-        if x in creation_ops:
-            return np.asarray(creation_ops[x], dtype=complex)
-        d = local_dims[x]
-        op = np.zeros((d, d), dtype=complex)
-        for n in range(d - 1):
-            op[n + 1, n] = math.sqrt(n + 1)
-        return op
-
     sites = []
-    for x in range(L):
-        d = local_dims[x]
-        ad = adag_at(x)
-        if ad.shape != (d, d):
-            raise ShapeError(f"creation operator at site {x} must be {d}x{d}")
+    for x, ad in enumerate(creation_ops):
+        d = len(ad)
         eye = np.eye(d, dtype=complex)
         if L == 1:
             w = (phi[0] * ad).reshape(1, d, d, 1)

@@ -53,8 +53,12 @@ def _load_sidecars(rows, sidecar_dir):
         if not os.path.exists(path):
             gaps.append(f"run {r.get('run_id')}: sidecar {name} missing")
             continue
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded.append((r, json.load(fh)))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                loaded.append((r, json.load(fh)))
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 errors too
+            gaps.append(f"run {r.get('run_id')}: sidecar {name} "
+                        f"unreadable ({exc})")
     return loaded, gaps
 
 

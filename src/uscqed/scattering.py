@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import BandEdgeError, ConfigError, NumericError
-from .evolution import embedded_ground_state, evolve
+from .evolution import evolve
 from .model import (ModelParams, band_edges, dispersion, group_velocity,
                     hamiltonian_mpo, momentum_from_frequency,
                     packet_creation_mpo, parity_expectation,
@@ -570,38 +570,14 @@ def broadband_inelastic(result: ScatteringResult, gap: float):
 # ---------------------------------------------------------------------------
 # mirror geometry
 
-def mirror_experiment(g: float, omega: float, j0: int = 60,
-                      mirror_dx: int = 20, sigma: float = 8.0,
-                      x0: float = None, n_max: int = 4, t_final: float = None,
-                      gap: float = None, **run_kw):
-    """Send a packet against the scatterer-plus-wall and analyze the return.
-
-    The chain ends ``mirror_dx`` sites past the scatterer, so everything
-    comes back; the reflected signal is analyzed on the launch side.
-    Returns ``(result, inelastic)``; the inelastic split needs ``gap``.
-    """
-    params = ModelParams(L=j0 + mirror_dx + 1, g=g, j0=j0, n_max=n_max,
-                         boundary="mirror", mirror_dx=mirror_dx)
-    if x0 is None:
-        x0 = j0 / 2
-    spec = WavepacketSpec(omega=omega, sigma=sigma, x0=x0)
-    if t_final is None:
-        v = abs(group_velocity(
-            float(momentum_from_frequency(omega, params)), params))
-        t_final = 2.4 * (j0 - x0 + mirror_dx) / v
-    gs_energy, gs, _ = embedded_ground_state(params)
-    result = run_scattering(params, spec, t_final, gs=gs, gs_energy=gs_energy,
-                            **run_kw)
-    ine = inelastic_spectrum(result, gap) if gap is not None else None
-    return result, ine
-
-
 def mirror_reflection_spectrum(result: ScatteringResult, gap: float):
     """Elastic and converted return fractions versus carrier, mirror runs.
 
-    Same density-ratio bookkeeping as ``broadband_inelastic``; the wall
-    sends everything back, so wherever the incoming density is solid the
-    elastic and converted fractions should sum to one up to analysis error.
+    A mirror run is a config with ``model.boundary = "mirror"``, whose last
+    site is the wall.  Same density-ratio bookkeeping as
+    ``broadband_inelastic``; the wall sends everything back, so wherever
+    the incoming density is solid the elastic and converted fractions
+    should sum to one up to analysis error.
     Returns ``(omega_grid, r_elastic, p_inelastic)``: both NaN where the
     incoming density is too thin, ``p_inelastic`` 0 where kinematically
     closed and NaN where ``omega - gap`` lies inside the packet's own band.

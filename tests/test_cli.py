@@ -79,6 +79,23 @@ def test_a_missing_plot_table_is_a_config_error(tmp_path, capsys):
     assert f"cannot open {missing}" in capsys.readouterr().err
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys,
+                                                      no_solves):
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["ground-state", "--config", str(path)]) \
+        == cli.EXIT_CONFIG
+    assert f"{path} is not UTF-8" in capsys.readouterr().err
+
+
+def test_a_plot_table_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\xff\xferun_id,g\n")
+    assert cli.main(["plot", "--figure", "fig2", "--table", str(path)]) \
+        == cli.EXIT_CONFIG
+    assert f"{path} is not UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [["sweep", "--threads", "2"]]
                          + [[c, "--seedless"] for c in COMMANDS]
                          + [["ground-state", "--checkpoint"],

@@ -38,9 +38,8 @@ def test_paper_presets_expand_to_the_published_geometry():
 def test_mirror_inset_preset_geometry():
     cfg = C.preset_config("paper-fig5-inset")
     assert cfg.model.boundary == "mirror"
-    assert cfg.model.mirror_dx == 20
     assert cfg.model.j0 == 460
-    assert cfg.model.L == 481          # wall sits right past j0 + mirror_dx
+    assert cfg.model.L == 481          # the wall, site 480, is 20 past j0
     assert cfg.packet.x0 == 380.0
     assert cfg.evolution.t_final == 800.0
     assert cfg.model.g == 0.8
@@ -65,6 +64,10 @@ def test_unknown_keys_are_hard_errors_with_paths():
         C.from_dict({"frobnicate": {}})
     with pytest.raises(ConfigError, match=r"unknown key sweep\.omega"):
         C.from_dict({"preset": "desk", "sweep": {"omega": [1.0]}})
+    # a mirror chain's wall is its last site, so nothing else places it
+    with pytest.raises(ConfigError, match=r"unknown key model\.mirror_dx"):
+        C.from_dict({"preset": "paper-fig5-inset",
+                     "model": {"mirror_dx": 20}})
 
 
 def test_section_value_errors_carry_the_section_name():
@@ -115,12 +118,12 @@ def test_preset_hashes_are_pinned():
     # fig5 are one physics, so one sweep serves both figures
     assert {name: C.config_hash(C.preset_config(name))
             for name in C.PRESETS} == {
-        "desk": "a29b87d17b462572",
-        "paper-fig3": "a92f245ace612428",
-        "paper-fig4": "925c2aff2811b66c",
-        "paper-fig5": "925c2aff2811b66c",
-        "paper-fig5-inset": "81bc7f55256f3116",
-        "paper-fig6": "dda5857c4ca04137",
+        "desk": "8479282cd58d7228",
+        "paper-fig3": "89475dd83efc8c59",
+        "paper-fig4": "e07fb0992c4a91b6",
+        "paper-fig5": "e07fb0992c4a91b6",
+        "paper-fig5-inset": "620ae338a3840c64",
+        "paper-fig6": "a394f91f47c1c365",
     }
 
 

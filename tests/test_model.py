@@ -38,11 +38,11 @@ def test_params_validation():
         M.ModelParams(L=5, g=0.2, j0=2, scatterer="spin1")
     with pytest.raises(ValueError):
         M.ModelParams(L=5, g=0.2, j0=2, boundary="periodic")
-    # mirror geometry must close the chain right after the wall gap
-    with pytest.raises(ValueError):
-        M.ModelParams(L=30, g=0.2, j0=10, boundary="mirror", mirror_dx=5)
-    p = M.ModelParams(L=16, g=0.2, j0=10, boundary="mirror", mirror_dx=5)
-    assert p.L == p.j0 + p.mirror_dx + 1
+    # a mirror chain's wall is its last site, which the scatterer must not be
+    with pytest.raises(ValueError, match="before the wall at site 15"):
+        M.ModelParams(L=16, g=0.2, j0=15, boundary="mirror")
+    M.ModelParams(L=16, g=0.2, j0=14, boundary="mirror")
+    M.ModelParams(L=16, g=0.2, j0=15)
 
 
 def test_local_dims():

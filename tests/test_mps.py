@@ -136,7 +136,7 @@ class TestExpectations:
     def test_correlator_w_state(self):
         # equal-weight one-photon superposition over three sites
         phi = np.full(3, 1.0 / math.sqrt(3.0))
-        op = m.wavepacket_mpo(phi, [2, 2, 2])
+        op = m.wavepacket_mpo(phi, [lowering_op(2).T] * 3)
         vac = m.product_state([2, 2, 2], [0, 0, 0])
         w, _ = m.apply_mpo(vac, op, max_rank=4, cutoff=0.0)
         a = lowering_op(2)
@@ -264,13 +264,13 @@ class TestWavepacketMpo:
         for L in [2, 7, 40]:
             phi = np.zeros(L)
             phi[L // 2] = 1.0
-            op = m.wavepacket_mpo(phi, [3] * L)
+            op = m.wavepacket_mpo(phi, [lowering_op(3).T] * L)
             assert op.max_bond == 2
 
     def test_concentrated_packet_gives_fock_state(self):
         phi = np.zeros(5)
         phi[2] = 1.0
-        op = m.wavepacket_mpo(phi, [3] * 5)
+        op = m.wavepacket_mpo(phi, [lowering_op(3).T] * 5)
         vac = m.product_state([3] * 5, [0] * 5)
         out, err = m.apply_mpo(vac, op, max_rank=4, cutoff=0.0)
         assert err == pytest.approx(0.0, abs=1e-12)
@@ -282,7 +282,7 @@ class TestWavepacketMpo:
         x = np.arange(L)
         phi = np.exp(-((x - 5.5) ** 2) / 8.0) * np.exp(1j * 1.3 * x)
         phi /= np.linalg.norm(phi)
-        op = m.wavepacket_mpo(phi, [2] * L)
+        op = m.wavepacket_mpo(phi, [lowering_op(2).T] * L)
         vac = m.product_state([2] * L, [0] * L)
         out, _ = m.apply_mpo(vac, op, max_rank=8, cutoff=0.0)
         got = m.site_expectations(out, [number_op(2)] * L).real
@@ -294,7 +294,7 @@ class TestWavepacketMpo:
         st = random_mps(rng, L, d, 4)
         phi = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         phi /= np.linalg.norm(phi)
-        op = m.wavepacket_mpo(phi, [d] * L)
+        op = m.wavepacket_mpo(phi, [lowering_op(d).T] * L)
         out, _ = m.apply_mpo(st, op, max_rank=24, cutoff=0.0)
         dense_op = sum(phi[x] * denseref.embed_ops([d] * L, {x: lowering_op(d).conj().T})
                        for x in range(L))
@@ -303,7 +303,7 @@ class TestWavepacketMpo:
 
     def test_unnormalized_packet_rejected(self):
         with pytest.raises(ValueError):
-            m.wavepacket_mpo(np.array([1.0, 1.0]), [2, 2])
+            m.wavepacket_mpo(np.array([1.0, 1.0]), [lowering_op(2).T] * 2)
 
 
 class TestApplyMpo:

@@ -94,3 +94,23 @@ def test_plot_command_rejects_a_table_without_the_figure(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "table cannot support the figure" in err
         assert "gap: " in err
+
+
+def test_plot_reports_an_unreadable_sidecar_as_a_gap(tmp_path, capsys):
+    (tmp_path / "good.json").write_text(json.dumps(
+        {"times": [0.0, 1.0], "delta_p": [0.0, 0.1]}), encoding="utf-8")
+    (tmp_path / "bad.json").write_text('{"trunc', encoding="utf-8")
+    table = tmp_path / "sweep.csv"
+    with open(table, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["run_id", "g", "flags", "sidecar"])
+        w.writerow(["r0", 0.3, "", "good.json"])
+        w.writerow(["r1", 0.4, "", "bad.json"])
+    out = tmp_path / "plots"
+    assert cli.main(["plot", "--figure", "fig6", "--table", str(table),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "fig6.gp").exists()
+    gaps = [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("gap: ")]
+    assert len(gaps) == 1
+    assert gaps[0].startswith("gap: run r1: sidecar bad.json unreadable (")

@@ -1,14 +1,17 @@
 """Packet preparation, scattering runs, and spectral analysis."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from uscqed import config as C
 from uscqed import model as M
 from uscqed import scattering as sc
-from uscqed.evolution import evolve
+from uscqed import sweep as sw
+from uscqed.evolution import evolve, vacuum_state
 from uscqed.mps import (apply_mpo, expectation_local, normalize, product_state,
                         site_expectations)
 from uscqed.oracles import rwa_single_excitation_scattering
@@ -423,14 +426,23 @@ def test_raman_threshold_is_gap_above_band_bottom():
 # ---------------------------------------------------------------------------
 # mirror geometry
 
-def test_mirror_experiment_bounces_packet_off_wall():
-    res, ine = sc.mirror_experiment(
-        g=0.0, omega=1.0, j0=20, mirror_dx=10, sigma=2.2, x0=7.0,
-        n_max=1, t_final=55.0, dt=0.1, order=3, max_rank=8,
-        cutoff=1e-12, n_snapshots=5, exclude_radius=6)
-    assert ine is None
-    p = res.params
+# g = 0, so the vacuum is the exact ground state at energy 0; the wall is the
+# chain's last site, 10 sites past the scatterer
+MIRROR = {
+    "model": {"L": 31, "g": 0.0, "j0": 20, "n_max": 1, "boundary": "mirror"},
+    "packet": {"omega": 1.0, "sigma": 2.2, "x0": 7.0},
+    "evolution": {"t_final": 55.0, "dt": 0.1, "order": 3, "max_rank": 8,
+                  "cutoff": 1e-12, "n_snapshots": 5},
+}
+
+
+def test_mirror_config_bounces_packet_off_wall():
+    cfg = C.from_dict(MIRROR)
+    p = cfg.model
     assert (p.boundary, p.L) == ("mirror", 31)
+    res = sc.run_scattering(p, cfg.packet, cfg.evolution.t_final,
+                            gs=vacuum_state(p), gs_energy=0.0,
+                            exclude_radius=6, **cfg.evolution.run_kwargs())
     s = res.snapshots[-1]
     # the standing-wave reference includes the wall bounce exactly
     assert np.max(np.abs(s.phi_x - sc.free_reference(p, res.spec, s.t))) < 2e-3
@@ -440,9 +452,20 @@ def test_mirror_experiment_bounces_packet_off_wall():
     assert cent[-1] < max(cent) - 5    # and came back
 
 
+def test_run_point_on_a_mirror_config(tmp_path):
+    # plumbing only: the return has not reached the analysis window (x < 10)
+    # by t_final, so the row's R and flux balance say nothing here
+    cfg = C.from_dict({**MIRROR, "outputs": {"directory": str(tmp_path)},
+                       "evolution": {**MIRROR["evolution"], "dt": 0.25}})
+    row = sw.run_point(cfg, 0, 0.0, 1.0, gap=0.5,
+                       gs=vacuum_state(cfg.model), gs_energy=0.0, strict=True)
+    assert math.isnan(row.T)         # a mirror chain has no transmitted side
+    payload = json.loads((tmp_path / row.sidecar).read_text(encoding="utf-8"))
+    assert "broadband_r_el" in payload
+
+
 def test_mirror_reflection_spectrum_on_synthetic_return():
-    p = M.ModelParams(L=81, g=0.7, j0=60, n_max=1, boundary="mirror",
-                      mirror_dx=20)
+    p = M.ModelParams(L=81, g=0.7, j0=60, n_max=1, boundary="mirror")
     spec = sc.WavepacketSpec(omega=1.0, sigma=8.0, x0=30.0)
     gap = 0.5
     k = synthetic_grid()
