@@ -236,13 +236,6 @@ def parse_config(path=None, preset: str = None, out: str = None) -> RunConfig:
     return from_dict(data)
 
 
-def preset_config(name: str, overrides: dict = None) -> RunConfig:
-    """Expand a named preset, optionally overlaying user sections."""
-    data = {"preset": name}
-    data.update(overrides or {})
-    return from_dict(data)
-
-
 def to_dict(config: RunConfig) -> dict:
     """Plain-type mirror of the config (JSON-ready, tuples as lists)."""
     out = dataclasses.asdict(config)

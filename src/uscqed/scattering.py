@@ -263,7 +263,9 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
     one snapshot the spectra read; the other snapshots leave it ``None``.
     A snapshot's ``discarded`` counts the launch truncation and every step
     before it, and the run warns once if its total passes
-    `TRUNCATION_BUDGET`, however it is split into calls.
+    `TRUNCATION_BUDGET`, however it is split into calls.  A run is flagged
+    when, at `last_clean`, the outgoing packet's centre (the transmitted one,
+    or the mirror's return) has not cleared the analysis window by 3 sigma.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -347,11 +349,17 @@ def run_scattering(params: ModelParams, spec: WavepacketSpec, t_final: float,
                               flags=flags, edge_time=edge_time,
                               last_clean=clean)
     if params.boundary == "open":
-        reach = spec.x0 + info.velocity * clean.t
-        if reach < params.j0 + exclude_radius + 3.0 * spec.sigma:
-            result.flags.append(
-                f"transmitted packet near x={reach:.0f} at the analysis "
-                f"snapshot; extend t_final past the window")
+        side, reach = "transmitted", spec.x0 + info.velocity * clean.t
+        short = reach < params.j0 + exclude_radius + 3.0 * spec.sigma
+    else:
+        # the return, unfolded about the wall at site L - 1
+        side = "returned"
+        reach = 2.0 * (params.L - 1) - spec.x0 - info.velocity * clean.t
+        short = reach > params.j0 - exclude_radius - 3.0 * spec.sigma
+    if short:
+        result.flags.append(
+            f"{side} packet near x={reach:.0f} at the analysis snapshot; "
+            f"extend t_final past the window")
     return result
 
 

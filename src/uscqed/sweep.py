@@ -264,15 +264,15 @@ def _error_row(config: RunConfig, i: int, g: float, omega: float,
                wall_time: float = 0.0) -> ResultRow:
     """Row of grid point ``i`` that produced no result; ``flags`` says why."""
     nan = float("nan")
-    return ResultRow(
-        run_id=_run_id(config, i), g=g, omega_in=omega, k_in=nan, T=nan, R=nan,
-        p_elastic=nan, p_inelastic=nan, p_inelastic_t=nan, p_inelastic_r=nan,
-        omega_out=nan, omega_out_expected=nan,
-        gap=nan if gap is None else gap, raman_threshold=nan,
-        gs_energy=nan if gs_energy is None else gs_energy,
-        D=config.evolution.max_rank, n_max=config.model.n_max,
-        dt=config.evolution.dt, total_discarded=nan, flags=flags,
-        wall_time=wall_time, config_hash=config_hash(config))
+    row = {f.name: nan for f in dataclasses.fields(ResultRow)
+           if f.type == "float"}
+    row.update(run_id=_run_id(config, i), g=g, omega_in=omega,
+               gap=nan if gap is None else gap,
+               gs_energy=nan if gs_energy is None else gs_energy,
+               D=config.evolution.max_rank, n_max=config.model.n_max,
+               dt=config.evolution.dt, flags=flags, wall_time=wall_time,
+               config_hash=config_hash(config))
+    return ResultRow(**row)
 
 
 def sweep(config: RunConfig, progress=None) -> list:

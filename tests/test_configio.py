@@ -17,26 +17,26 @@ def test_preset_names_cover_the_published_figures():
 
 def test_paper_presets_expand_to_the_published_geometry():
     for name in ("paper-fig3", "paper-fig4", "paper-fig5", "paper-fig6"):
-        cfg = C.preset_config(name)
+        cfg = C.from_dict({"preset": name})
         assert cfg.model.L == 480
         assert cfg.model.j0 == 240
         assert cfg.model.n_max == 4
         assert cfg.packet.x0 == 160.0
         assert cfg.evolution.t_final == 420.0
         assert cfg.evolution.max_rank == 10
-    fig3 = C.preset_config("paper-fig3")
+    fig3 = C.from_dict({"preset": "paper-fig3"})
     assert fig3.packet.sigma == 20.0 and fig3.model.g == 0.7
     assert fig3.sweep.omega_in == (0.70, 0.85)
-    fig4 = C.preset_config("paper-fig4")
+    fig4 = C.from_dict({"preset": "paper-fig4"})
     assert fig4.packet.sigma == 2.0
     assert fig4.sweep.g == tuple(i / 10 for i in range(1, 11))
-    fig6 = C.preset_config("paper-fig6")
+    fig6 = C.from_dict({"preset": "paper-fig6"})
     assert fig6.packet.sigma == 20.0 and fig6.packet.omega == 0.90
     assert fig6.sweep.g == (0.30, 0.40, 0.45, 0.55)
 
 
 def test_mirror_inset_preset_geometry():
-    cfg = C.preset_config("paper-fig5-inset")
+    cfg = C.from_dict({"preset": "paper-fig5-inset"})
     assert cfg.model.boundary == "mirror"
     assert cfg.model.j0 == 460
     assert cfg.model.L == 481          # the wall, site 480, is 20 past j0
@@ -102,21 +102,21 @@ def test_sweep_grid_rejects_non_numbers():
 
 
 def test_hash_ignores_outputs_and_preset_spelling():
-    a = C.preset_config("desk")
+    a = C.from_dict({"preset": "desk"})
     spelled = C.to_dict(a)
     spelled.pop("preset")                             # hand-written twin
     b = C.from_dict(spelled)
-    c = C.preset_config("desk", {"outputs": {"directory": "elsewhere"}})
+    c = C.from_dict({"preset": "desk", "outputs": {"directory": "elsewhere"}})
     assert b.preset is None
     assert C.config_hash(a) == C.config_hash(b) == C.config_hash(c)
-    d = C.preset_config("desk", {"model": {"g": 0.71}})
+    d = C.from_dict({"preset": "desk", "model": {"g": 0.71}})
     assert C.config_hash(d) != C.config_hash(a)
 
 
 def test_preset_hashes_are_pinned():
     # a changed hash orphans every sweep row resumed under it; fig4 and
     # fig5 are one physics, so one sweep serves both figures
-    assert {name: C.config_hash(C.preset_config(name))
+    assert {name: C.config_hash(C.from_dict({"preset": name}))
             for name in C.PRESETS} == {
         "desk": "8479282cd58d7228",
         "paper-fig3": "89475dd83efc8c59",
@@ -134,7 +134,7 @@ def test_presets_set_only_the_run_length_of_the_stepper():
 
 
 def test_round_trip_through_plain_dicts():
-    cfg = C.preset_config("paper-fig5-inset")
+    cfg = C.from_dict({"preset": "paper-fig5-inset"})
     again = C.from_dict(C.to_dict(cfg))
     assert again.model == cfg.model
     assert again.packet == cfg.packet

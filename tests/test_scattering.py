@@ -460,6 +460,10 @@ def test_run_point_on_a_mirror_config(tmp_path):
     row = sw.run_point(cfg, 0, 0.0, 1.0, gap=0.5,
                        gs=vacuum_state(cfg.model), gs_energy=0.0, strict=True)
     assert math.isnan(row.T)         # a mirror chain has no transmitted side
+    # the return's centre, 2(L - 1) - x0 - v t = 18 at t = 55, sits inside
+    # the window, so the run asks for a longer t_final
+    assert ("returned packet near x=18 at the analysis snapshot; "
+            "extend t_final past the window") in row.flags
     payload = json.loads((tmp_path / row.sidecar).read_text(encoding="utf-8"))
     assert "broadband_r_el" in payload
 
