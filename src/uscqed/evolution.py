@@ -6,22 +6,24 @@ of tensors in Hastings' form (Vidal, PRL 93, 040502 (2004); Hastings,
 J. Math. Phys. 50, 095207 (2009)): sites B that are right-canonical, and
 the singular values lambda of every bond.
 
-- Entry: the gauge is built exactly, once per call, by the sweep of
-  `mps.compress` at full rank (`mps._right_sweep`, cutoff 0): the center
-  goes to the last site and one right-to-left sweep of
-  `tensors.split_matrix` gives B and lambda; a non-finite state raises
-  `NumericError` there.
+- Entry: the gauge is built exactly, once per call, by `_entry_gauge`:
+  `canonicalize(state, 0)` (a walk of length 0 for every state the package
+  hands it, since `scattering.prepare_input` and `evolve` both return the
+  center at site 0), then one left-to-right sweep of
+  `tensors.split_matrix` at full rank and cutoff 0 gives lambda and B; a
+  non-finite state raises `NumericError` before either.
 - Stage: the gates of a stage act on disjoint bonds, so they run at once.
-  Theta = lambda B B is formed with the gate multiplied in by batched
-  matmuls, one SVD launch splits all thetas of bonds whose sites share
-  their shapes, and `tensors.truncation_ranks` picks every kept rank.  The
-  right site becomes the kept rows of vh and the left site (gate B B)
-  vh^H: no lambda is ever inverted, and no center moves.  The n steps of
-  one call run as one stage sequence: a step's last stage and the next
-  step's first share their bonds (`model.stage_coefficients`), so they run
-  as one seam stage whose gates are the products of theirs.  A call runs
-  4n+1 stages at order 3 and 2n+1 at order 2, not 5n and 3n; the operator
-  product is the same, with fewer truncations.
+  Bonds whose sites share their shapes form a group; B B is one batched
+  matmul per inner bond within it, the gates one more, and one SVD launch
+  splits every theta = lambda gate B B of the group.  One
+  `tensors.truncation_ranks` call picks every kept rank and the weight it
+  keeps.  The right site becomes the kept rows of vh and the left site
+  (gate B B) vh^H: no lambda is ever inverted, and no center moves.  The n
+  steps of one call run as one stage sequence: a step's last stage and the
+  next step's first share their bonds (`model.stage_coefficients`), so
+  they run as one seam stage whose gates are the products of theirs.  A
+  call runs 4n+1 stages at order 3 and 2n+1 at order 2, not 5n and 3n; the
+  operator product is the same, with fewer truncations.
 - Exit: `canonicalize` rebuilds the returned `MPS` from the B list with its
   center at site 0, so measurements see an exact gauge.
 
@@ -72,9 +74,9 @@ from scipy.linalg import get_lapack_funcs
 from .errors import ConvergenceError, NumericError
 from .model import (ModelParams, TrotterGates, hamiltonian_mpo,
                     parity_expectation, parity_factors)
-from .mps import (MPS, _mpo_transfer, _right_sweep, _transfer,
-                  canonicalize, mpo_expectation, normalize, product_state)
-from .tensors import svd, truncation_rank, truncation_ranks
+from .mps import (MPS, _mpo_transfer, _transfer, canonicalize,
+                  mpo_expectation, normalize, product_state)
+from .tensors import split_matrix, svd, truncation_rank, truncation_ranks
 
 # A bond-1 site counts as vacuum when its non-vacuum squared weight is at
 # most this fraction of its vacuum weight: amplitudes of 1e-12, twelve
@@ -171,49 +173,57 @@ def _near_vacuum(a) -> bool:
 def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
     """Gates of one stage on the disjoint ``bonds``, all at once.
 
-    Bonds whose sites share their shapes form one group: ``m = gate
-    (B_x B_x+1)`` in one batched matmul, the left bond values weight its
-    rows into theta, and one SVD launch splits every theta of the group.
-    One `truncation_ranks` call over the stage's singular values
-    (zero-padded to a common length, which changes no rank) picks the kept
-    ranks; per bond, the right site becomes the kept rows of ``vh`` and the
-    left site ``m vh^H``, so no bond value is ever inverted.  ``vac`` (per
-    site, `_near_vacuum`) is kept current.  Returns ``kept``, the product
-    over bonds of the fraction of theta's weight that the truncation keeps.
+    Bonds whose sites share their shapes form one group.  Within it, the
+    bonds of one inner bond k stack their sites for one batched matmul
+    ``B_x B_x+1`` (a lone bond takes a plain matmul); the group multiplies
+    in its gates with one more, the left bond values weight the rows of
+    ``m = gate (B_x B_x+1)`` into theta, and one SVD launch splits every
+    theta of the group.  One `truncation_ranks` call over the stage's
+    singular values (zero-padded to a common length, which changes no rank)
+    picks the kept ranks and the weight each keeps; per bond, the right site
+    becomes the kept rows of ``vh`` and the left site ``m vh^H``, so no bond
+    value is ever inverted.  ``vac`` (per site, `_near_vacuum`) is kept
+    current.  Returns ``kept``, the product over bonds of the fraction of
+    theta's weight that the truncation keeps.
     """
     groups: dict = {}
     for x in bonds:
         a, b = sites[x], sites[x + 1]
         groups.setdefault((a.shape[0], a.shape[1], b.shape[1], b.shape[2]),
-                          []).append(x)
+                          {}).setdefault(a.shape[2], []).append(x)
     splits = []
-    for (al, dl, dr, ar), xs in groups.items():
-        # np.array stacks equal-shape arrays with less overhead than np.stack
-        bb = np.array([sites[x].reshape(al * dl, -1)
-                       @ sites[x + 1].reshape(-1, dr * ar) for x in xs])
-        bb = bb.reshape(len(xs), al, dl * dr, ar)
-        m = (np.array([gates[x] for x in xs])[:, None] @ bb).reshape(
-            len(xs), al * dl, dr * ar)
+    for (al, dl, dr, ar), by_k in groups.items():
+        xs, bbs = [], []
+        for k, sub in by_k.items():
+            if len(sub) == 1:
+                x = sub[0]
+                bbs.append((sites[x].reshape(al * dl, k)
+                            @ sites[x + 1].reshape(k, dr * ar))[None])
+            else:
+                # np.array stacks equal-shape arrays with less overhead
+                # than np.stack
+                bbs.append(np.array([sites[x] for x in sub]).reshape(
+                    -1, al * dl, k) @ np.array(
+                    [sites[x + 1] for x in sub]).reshape(-1, k, dr * ar))
+            xs += sub
+        n = len(xs)
+        bb = (bbs[0] if len(bbs) == 1 else np.concatenate(bbs)).reshape(
+            n, al, dl * dr, ar)
+        m = np.array([gates[x] for x in xs])[:, None] @ bb
         # theta's row weights: the left bond value of each row
-        w = np.repeat(np.array([lams[x] for x in xs]), dl, axis=1)
-        theta = w[:, :, None] * m
-        if not np.all(np.isfinite(theta)):
+        theta = (np.array([lams[x] for x in xs])[:, :, None, None]
+                 * m).reshape(n, al * dl, dr * ar)
+        if not np.isfinite(theta).all():
             raise NumericError("input to SVD contains non-finite entries")
         s, vh = svd(theta)[1:]
         splits.append(((al, dl, dr, ar), xs, m, s, vh))
-    n = len(bonds)
-    sv = np.zeros((n, max(split[3].shape[1] for split in splits)))
+    sv = np.zeros((len(bonds), max(split[3].shape[1] for split in splits)))
     i = 0
     for split in splits:
         s = split[3]
         sv[i:i + len(s), :s.shape[1]] = s
         i += len(s)
-    keep = truncation_ranks(sv, max_rank, cutoff)
-    sq = sv * sv
-    kept_sq = np.sum(np.where(np.arange(sv.shape[1]) < keep[:, None], sq, 0.0),
-                     axis=1)
-    total = np.sum(sq, axis=1)
-    kept = np.prod(np.divide(kept_sq, total, out=np.ones(n), where=total > 0))
+    keep, kept = truncation_ranks(sv, max_rank, cutoff)
     keep = keep.tolist()
     i = 0
     for (al, dl, dr, ar), xs, m, s, vh in splits:
@@ -224,15 +234,46 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
         kmax = max(ks)
         s = np.ascontiguousarray(s[:, :kmax])
         vh = np.ascontiguousarray(vh[:, :kmax])
-        left = m @ vh.conj().transpose(0, 2, 1)
+        left = (m.reshape(len(xs), al * dl, dr * ar)
+                @ vh.conj().transpose(0, 2, 1)).reshape(-1, al, dl, kmax)
+        vh = vh.reshape(-1, kmax, dr, ar)
         for j, (x, k) in enumerate(zip(xs, ks)):
-            sites[x] = left[j, :, :k].reshape(al, dl, k)
-            sites[x + 1] = vh[j, :k].reshape(k, dr, ar)
+            sites[x] = left[j, :, :, :k]
+            sites[x + 1] = vh[j, :k]
             lams[x + 1] = s[j, :k]
             # a site of inner bond k > 1 is not near the vacuum
             vac[x] = k == 1 and _near_vacuum(sites[x])
             vac[x + 1] = k == 1 and _near_vacuum(sites[x + 1])
-    return float(kept)
+    return float(kept.prod())
+
+
+def _entry_gauge(state: MPS):
+    """``(sites, lams)`` in Hastings' form, exact, by one left-to-right
+    sweep from the center at site 0.
+
+    A non-finite state raises `NumericError`.  At each bond the
+    lambda-weighted site ``lams[x] B_x`` is split by `split_matrix` at full
+    rank and cutoff 0 (only its noise floor cuts) into ``u s vh``: s are
+    the bond's Schmidt values, ``B_x`` becomes ``B_x vh^H`` and vh moves
+    into site x+1.  Site 0 keeps the norm (``lams[0]`` is 1); every other
+    site is right-canonical.
+    """
+    # before any product, which would turn inf into nan with a warning
+    if not all(np.isfinite(a).all() for a in state.sites):
+        raise NumericError("state contains non-finite entries")
+    sites = list(canonicalize(state, 0).sites)
+    lams = [np.ones(1)] * state.L
+    for x in range(state.L - 1):
+        l, d, r = sites[x].shape
+        b = sites[x].reshape(l * d, r)
+        # no bond exceeds the largest
+        _, lams[x + 1], vh, _ = split_matrix(
+            np.repeat(lams[x], d)[:, None] * b, state.max_bond, 0.0)
+        sites[x] = (b @ vh.conj().T).reshape(l, d, -1)
+        nl, nd, nr = sites[x + 1].shape
+        sites[x + 1] = (vh @ sites[x + 1].reshape(nl, nd * nr)).reshape(
+            -1, nd, nr)
+    return sites, lams
 
 
 @dataclass
@@ -285,8 +326,7 @@ def evolve(state: MPS, gates: TrotterGates, n_steps: int, max_rank: int,
         # bonds back to back: one seam stage runs their product
         seam = (tuple(None if a is None else a @ b
                       for a, b in zip(first[0], last[0])), first[1])
-    # no bond exceeds the largest, so only the noise floor truncates here
-    sites, lams, _ = _right_sweep(state, state.max_bond, 0.0)
+    sites, lams = _entry_gauge(state)
     vac = [_near_vacuum(a) for a in sites]
     trace = EvolutionTrace()
     for step in range(1, n_steps + 1):

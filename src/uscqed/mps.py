@@ -326,40 +326,26 @@ def local_matrix_elements(bra: MPS, ket: MPS, ops: Sequence[np.ndarray]) -> np.n
 # ---------------------------------------------------------------------------
 # compression and MPO application
 
-def _right_sweep(state: MPS, max_rank: int, cutoff: float):
-    """``(sites, lams, discarded)`` of one truncating right-to-left sweep.
+def compress(state: MPS, max_rank: int, cutoff: float):
+    """Truncate every bond to ``max_rank`` under the relative cutoff.
 
-    The center goes to the last site, then `split_matrix` (which rejects
-    non-finite entries) cuts each bond to ``max_rank`` under the relative
-    cutoff.  Every site but the first is right-canonical, ``lams[x]`` holds
-    the kept values of the bond left of site x (``lams[0]`` is 1, site 0
-    keeps the norm), and ``discarded`` is ``1 - prod(1 - w_bond)``.  At
-    cutoff 0 and a rank no smaller than any bond, only `truncation_rank`'s
-    noise floor cuts: the exact gauge `evolution.evolve` starts from.
+    The center goes to the last site, then one right-to-left sweep of
+    `split_matrix` (which rejects non-finite entries) cuts each bond,
+    leaving every site but the first right-canonical.  Returns ``(state,
+    truncation_error)``, the state canonical at site 0 and the error the
+    total lost squared weight, ``1 - prod(1 - w_bond)``.
     """
     sites = list(canonicalize(state, state.L - 1).sites)
-    lams = [np.ones(1)] * state.L
     kept = 1.0
     for x in range(state.L - 1, 0, -1):
         l, d, r = sites[x].shape
-        u, lams[x], vh, w = split_matrix(sites[x].reshape(l, d * r),
-                                         max_rank, cutoff)
+        u, s, vh, w = split_matrix(sites[x].reshape(l, d * r), max_rank, cutoff)
         kept *= 1.0 - w
         sites[x] = vh.reshape(-1, d, r)
         pl, pd, _ = sites[x - 1].shape
         sites[x - 1] = (sites[x - 1].reshape(pl * pd, l)
-                        @ (u * lams[x])).reshape(pl, pd, -1)
-    return sites, lams, 1.0 - kept
-
-
-def compress(state: MPS, max_rank: int, cutoff: float):
-    """Truncate every bond to ``max_rank`` under the relative cutoff.
-
-    Returns ``(state, truncation_error)``, the state canonical at site 0 and
-    the error the total lost squared weight (see `_right_sweep`).
-    """
-    sites, _, discarded = _right_sweep(state, max_rank, cutoff)
-    return MPS(sites, ortho_center=0), discarded
+                        @ (u * s)).reshape(pl, pd, -1)
+    return MPS(sites, ortho_center=0), 1.0 - kept
 
 
 def _mpo_transfer(env, site, w):

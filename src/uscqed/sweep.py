@@ -229,8 +229,9 @@ def run_point(config: RunConfig, i: int, g: float, omega: float, gap: float,
             extra = {"broadband_omega": list(map(float, om_b)),
                      "broadband_p_ine": list(map(float, p_b))}
             balance = T + R + ine.p_inelastic
-        if T > 1.01:
-            flags.append(f"unphysical T={T:.4f}")
+        for name, value in (("T", T), ("R", R)):
+            if value > 1.01:
+                flags.append(f"unphysical {name}={value:.4f}")
         if abs(balance - 1.0) > BALANCE_TOLERANCE:
             flags.append(f"flux balance off by {balance - 1.0:+.3f}")
         suffix = "_nk" if measure_nk else ""

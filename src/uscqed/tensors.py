@@ -6,13 +6,15 @@ Conventions used throughout the package:
 * SVD truncation uses a cutoff on the relative squared singular-value
   weight, never on absolute values, so it is scale invariant.
 
-`split_matrix` is the kernel of the MPS gauge sweep (`mps._right_sweep`,
-behind `compress` and the entry gauge of TEBD): the caller reshapes its
-tensor into a matrix itself, so the kernel is one finiteness check, one
+`split_matrix` is the kernel of the two gauge sweeps, the right-to-left
+one of `mps.compress` and the left-to-right entry gauge of TEBD
+(`evolution._entry_gauge`): the caller reshapes its tensor into a matrix
+itself, so the kernel is one finiteness check, one
 ``np.linalg.svd`` (gesdd, with a gesvd fallback) and `truncation_rank`.
 The TEBD stage kernel splits a stack of equal-shape matrices at once
-through the same `svd` and `truncation_ranks`, and the DMRG split launches
-`svd` per parity block under one `truncation_rank`.
+through the same `svd`, and `truncation_ranks` gives its kept ranks and
+kept weights from one cumulative sum; the DMRG split launches `svd` per
+parity block under one `truncation_rank`.
 """
 
 from __future__ import annotations
@@ -47,16 +49,19 @@ def svd(m: np.ndarray):
         return tuple(np.stack(f) for f in zip(*map(_gesvd, m)))
 
 
-def truncation_ranks(s: np.ndarray, max_rank: int, cutoff: float) -> np.ndarray:
-    """`truncation_rank` of every row of ``s``, shape ``(n, r)``, in a few
-    array operations; for one row the loop of `truncation_rank` is faster."""
+def truncation_ranks(s: np.ndarray, max_rank: int, cutoff: float):
+    """`truncation_rank` of every row of ``s``, shape ``(n, r)``, and the
+    fraction of each row's squared weight that the rank keeps (1 for a zero
+    row), from one cumulative sum of the squared values; for one row the
+    loop of `truncation_rank` is faster."""
     n, r = s.shape
     if r == 0:
-        return np.zeros(n, dtype=int)
+        return np.zeros(n, dtype=int), np.ones(n)
     sq = s * s
-    total = np.sum(sq, axis=1)
-    nonzero = np.maximum(np.sum(s > s[:, :1] * 1e-14, axis=1), 1)
-    keep = np.maximum(np.sum(sq > cutoff * total[:, None], axis=1), 1)
+    cum = sq.cumsum(axis=1)
+    total = cum[:, -1]
+    nonzero = np.maximum((s > s[:, :1] * 1e-14).sum(axis=1), 1)
+    keep = np.maximum((sq > cutoff * total[:, None]).sum(axis=1), 1)
     # grow keep to the first j >= keep that ends its multiplet: s[j] is
     # split from s[j-1], j reaches the nonzero count, or j == r
     j = np.arange(1, r + 1)
@@ -64,7 +69,10 @@ def truncation_ranks(s: np.ndarray, max_rank: int, cutoff: float) -> np.ndarray:
     ends[:, :-1] = s[:, 1:] < s[:, :-1] * (1.0 - DEGENERACY_RTOL)
     ends |= j >= nonzero[:, None]
     keep = j[np.argmax(ends & (j >= keep[:, None]), axis=1)]
-    return np.minimum(np.minimum(keep, nonzero), max_rank)
+    keep = np.minimum(np.minimum(keep, nonzero), max_rank)
+    kept = np.divide(cum[np.arange(n), keep - 1], total, out=np.ones(n),
+                     where=total > 0)
+    return keep, kept
 
 
 def truncation_rank(s: np.ndarray, max_rank: int, cutoff: float) -> int:

@@ -11,7 +11,8 @@ from uscqed import evolution as ev
 from uscqed import model as M
 from uscqed import scattering as sc
 from uscqed.errors import ConvergenceError, NumericError
-from uscqed.mps import MPS, compress, norm, overlap, product_state
+from uscqed.mps import (MPS, compress, norm, normalize, overlap,
+                        product_state)
 
 
 def dense_h(params):
@@ -275,6 +276,93 @@ def test_stacked_svd_failure_falls_back_per_matrix(monkeypatch):
     assert np.linalg.norm(mps_to_vec(got) - mps_to_vec(want)) < 1e-10
 
 
+def random_sites(rng, dims, bonds):
+    """Random sites of local dimensions ``dims`` and inner bonds ``bonds``
+    (generic, so each bond is also the Schmidt rank there)."""
+    edges = [1, *bonds, 1]
+    shapes = [(edges[i], d, edges[i + 1]) for i, d in enumerate(dims)]
+    return [rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            for s in shapes]
+
+
+def apply_dense_stage(vec, dims, gates):
+    """A stage's two-site gates applied to a dense state vector."""
+    t = vec.reshape(dims)
+    for x, g in enumerate(gates):
+        if g is not None:
+            g4 = g.reshape(dims[x], dims[x + 1], dims[x], dims[x + 1])
+            t = np.moveaxis(np.tensordot(g4, t, axes=([2, 3], [x, x + 1])),
+                            [0, 1], [x, x + 1])
+    return t.ravel()
+
+
+def test_one_launch_holds_both_thetas_of_a_shape_with_two_inner_bonds(
+        monkeypatch):
+    # bonds (2,3) and (4,5) both have sites of shapes (2, 2, k) (k, 2, 2),
+    # with inner bond k = 4 and k = 3
+    p = M.ModelParams(L=8, g=0.8, j0=6, n_max=1)
+    dims = p.local_dims()
+    sites = random_sites(np.random.default_rng(11), dims,
+                         [2, 2, 4, 2, 3, 2, 2])
+    state = normalize(MPS(sites), 0)
+    gates = M.trotter_gates(p, dt=0.1, order=2)
+    stage = next(st for st in gates.stages if st.parity == 0)
+    launches = counting_svd(monkeypatch)
+    out, trace = ev.evolve(state, dataclasses.replace(gates, stages=(stage,)),
+                           1, max_rank=16, cutoff=0.0)
+    # one launch per site-shape group: (1,2,2,2) at bond 0, the two bonds
+    # of (2,2,2,2), and (2,4,2,1) at bond 6
+    assert sorted(launches) == [(1, 2, 4), (1, 8, 2), (2, 4, 4)]
+    assert trace.gates_applied == 4
+    want = apply_dense_stage(mps_to_vec(state), dims, stage.gates)
+    assert np.linalg.norm(mps_to_vec(out) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("center", [0, None])
+def test_entry_gauge_is_right_canonical_with_the_schmidt_values(center):
+    dims = [2, 3, 2, 4, 2, 3, 2, 2]
+    sites = random_sites(np.random.default_rng(12), dims,
+                         [2, 5, 6, 5, 6, 4, 2])
+    raw = MPS(sites)
+    sites[3] = sites[3] / norm(raw)
+    state = MPS(sites) if center is None else normalize(MPS(sites), 0)
+    assert state.ortho_center == center
+    gauge, lams = ev._entry_gauge(state)
+    for b in gauge:
+        m = b.reshape(b.shape[0], -1)
+        assert np.abs(m @ m.conj().T - np.eye(b.shape[0])).max() < 1e-12
+    vec = mps_to_vec(state)
+    assert np.linalg.norm(mps_to_vec(MPS(gauge)) - vec) < 1e-12
+    assert lams[0].tolist() == [1.0]
+    for x in range(1, len(dims)):
+        s = np.linalg.svd(vec.reshape(int(np.prod(dims[:x])), -1),
+                          compute_uv=False)
+        lam = lams[x]
+        assert lam.shape == (gauge[x].shape[0],)
+        assert np.abs(lam - s[:lam.size]).max() < 1e-12
+        assert np.all(s[lam.size:] < 1e-12)
+
+
+def test_one_evolve_call_makes_only_the_exit_walk_of_qrs(monkeypatch):
+    p = M.ModelParams(L=8, g=0.8, j0=3, n_max=1)
+    state = random_mps(np.random.default_rng(13), p.L, p.local_dims(), 4)
+    assert state.ortho_center == 0
+    gates = M.trotter_gates(p, dt=0.05, order=3)
+    qr = np.linalg.qr
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    out, _ = ev.evolve(state, gates, 1, max_rank=8, cutoff=1e-12)
+    # the entry gauge of a center-0 state walks no center: every QR is an
+    # RQ step of the exit walk back to site 0
+    assert len(calls) == p.L - 1
+    assert out.ortho_center == 0
+
+
 def test_returned_state_is_right_canonical_after_order3_truncation():
     p = M.ModelParams(L=8, g=1.0, j0=3, n_max=2)
     state = random_mps(np.random.default_rng(6), p.L, p.local_dims(), 4)
@@ -297,6 +385,19 @@ def test_non_finite_state_raises_numeric_error():
     gates = M.trotter_gates(p, dt=0.05, order=2)
     with pytest.raises(NumericError):
         ev.evolve(bad, gates, 1, max_rank=8, cutoff=1e-12)
+
+
+@pytest.mark.parametrize("center", [0, None])
+@pytest.mark.parametrize("site", [3, 5])
+def test_inf_in_a_state_raises_before_any_product(site, center):
+    # inf times a zero would warn and leave nan; the entry checks first
+    p = M.ModelParams(L=6, g=0.5, j0=2, n_max=1, coupling_mode="rwa")
+    sites = list(photon_at(p, 0).sites)
+    sites[site] = np.full_like(sites[site], np.inf)
+    gates = M.trotter_gates(p, dt=0.05, order=2)
+    with pytest.raises(NumericError):
+        ev.evolve(MPS(sites, ortho_center=center), gates, 1, max_rank=8,
+                  cutoff=1e-12)
 
 
 def test_evolve_argument_validation():

@@ -162,6 +162,22 @@ def test_run_failures_are_recorded_per_row(tmp_path, monkeypatch):
     assert "synthetic failure" in {r.omega_in: r for r in again}[0.9].flags
 
 
+def test_an_unphysical_reflection_is_flagged(tmp_path):
+    # the free packet has not reached the transmitted window by t_final, so
+    # the spectra divide by leakage; the row keeps its values and says so
+    cfg = make_config(tmp_path, model={"L": 24, "g": 0.4, "j0": 12},
+                      packet={"x0": 4.0, "sigma": 1.5, "omega": 1.0},
+                      evolution={"t_final": 4.0, "dt": 0.25,
+                                 "n_snapshots": 2})
+    e_gs, gs, _ = ev.embedded_ground_state(cfg.model)
+    row = sw.run_point(cfg, 0, 0.4, 1.0, gap=0.5, gs=gs, gs_energy=e_gs,
+                       strict=True)
+    assert row.R > 1e15
+    flags = row.flags.split("; ")
+    assert f"unphysical R={row.R:.4f}" in flags
+    assert not any(f.startswith("unphysical T=") for f in flags)
+
+
 def test_bound_state_failure_marks_all_rows_of_that_coupling(tmp_path,
                                                              monkeypatch):
     cfg = make_config(tmp_path, sweep={"omega_in": [0.9, 1.1]})

@@ -122,5 +122,11 @@ class TestSvdSplit:
 def test_truncation_ranks_match_the_loop_rule(rows, max_rank, cutoff):
     s = -np.sort(-np.array(rows), axis=1)
     want = [truncation_rank(row, max_rank, cutoff) for row in s]
-    assert truncation_ranks(s, max_rank, cutoff).tolist() == want
+    keep, kept = truncation_ranks(s, max_rank, cutoff)
+    assert keep.tolist() == want
+    # the kept fraction of each row's squared weight, 1 for a zero row
+    total = np.sum(s * s, axis=1)
+    head = [np.sum(row[:k] ** 2) for row, k in zip(s, want)]
+    np.testing.assert_allclose(kept, np.where(total > 0, head, 1.0)
+                               / np.where(total > 0, total, 1.0), rtol=1e-14)
 

@@ -1,6 +1,8 @@
 """The tooling around the package keeps working: a failing property test is
-reported as one failure, and the benchmark finds every name it looks up."""
+reported as one failure, the benchmark finds every name it looks up, and
+the package's settable values do not grow."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -10,6 +12,8 @@ import sys
 from uscqed import config as C
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# defaulted parameters + dataclass fields + add_argument calls in src/uscqed
+SETTABLE_CEILING = 42 + 127 + 13
 
 FAILING_PROPERTY = """\
 from hypothesis import given, strategies as st
@@ -50,3 +54,45 @@ def test_the_benchmark_finds_every_name_it_looks_up():
     assert missing == []
     for wl in workloads.WORKLOADS.values():
         C.from_dict(wl.config_dict(wl.points(1, 1)[0]))
+
+
+def _is_dataclass(node) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(source: str) -> int:
+    """Defaulted parameters, dataclass fields and ``add_argument`` calls."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults) + sum(
+                d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add_argument"):
+            count += 1
+    return count
+
+
+def test_the_settable_count_sees_each_kind():
+    source = ("from dataclasses import dataclass\n"
+              "import dataclasses\n"
+              "def f(a, b=1, *, c, d=2):\n    return lambda e=3: e\n"
+              "@dataclass\nclass P:\n    x: int\n    y: int = 0\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Q:\n    z: int = 0\n"
+              "class R:\n    w: int = 0\n"
+              "parser.add_argument('--v')\n")
+    assert settable_values(source) == 3 + 2 + 1 + 1
+
+
+def test_settable_values_do_not_grow():
+    total = sum(settable_values(path.read_text(encoding="utf-8"))
+                for path in sorted((ROOT / "src" / "uscqed").glob("*.py")))
+    assert total <= SETTABLE_CEILING
