@@ -175,10 +175,9 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
 
     Bonds whose sites share their shapes form one group.  Within it, the
     bonds of one inner bond k stack their sites for one batched matmul
-    ``B_x B_x+1`` (a lone bond takes a plain matmul); the group multiplies
-    in its gates with one more, the left bond values weight the rows of
-    ``m = gate (B_x B_x+1)`` into theta, and one SVD launch splits every
-    theta of the group.  One `truncation_ranks` call over the stage's
+    ``B_x B_x+1``; the group multiplies in its gates with one more, the
+    left bond values weight the rows of ``m = gate (B_x B_x+1)`` into
+    theta, and one SVD launch splits every theta of the group.  One `truncation_ranks` call over the stage's
     singular values (zero-padded to a common length, which changes no rank)
     picks the kept ranks and the weight each keeps; per bond, the right site
     becomes the kept rows of ``vh`` and the left site ``m vh^H``, so no bond
@@ -195,20 +194,14 @@ def _run_stage(sites, lams, vac, bonds, gates, max_rank, cutoff):
     for (al, dl, dr, ar), by_k in groups.items():
         xs, bbs = [], []
         for k, sub in by_k.items():
-            if len(sub) == 1:
-                x = sub[0]
-                bbs.append((sites[x].reshape(al * dl, k)
-                            @ sites[x + 1].reshape(k, dr * ar))[None])
-            else:
-                # np.array stacks equal-shape arrays with less overhead
-                # than np.stack
-                bbs.append(np.array([sites[x] for x in sub]).reshape(
-                    -1, al * dl, k) @ np.array(
-                    [sites[x + 1] for x in sub]).reshape(-1, k, dr * ar))
+            # np.array stacks equal-shape arrays with less overhead than
+            # np.stack
+            bbs.append(np.array([sites[x] for x in sub]).reshape(
+                -1, al * dl, k) @ np.array(
+                [sites[x + 1] for x in sub]).reshape(-1, k, dr * ar))
             xs += sub
         n = len(xs)
-        bb = (bbs[0] if len(bbs) == 1 else np.concatenate(bbs)).reshape(
-            n, al, dl * dr, ar)
+        bb = np.concatenate(bbs).reshape(n, al, dl * dr, ar)
         m = np.array([gates[x] for x in xs])[:, None] @ bb
         # theta's row weights: the left bond value of each row
         theta = (np.array([lams[x] for x in xs])[:, :, None, None]

@@ -13,7 +13,7 @@ itself, so the kernel is one finiteness check, one
 ``np.linalg.svd`` (gesdd, with a gesvd fallback) and `truncation_rank`.
 The TEBD stage kernel splits a stack of equal-shape matrices at once
 through the same `svd`, and `truncation_ranks` gives its kept ranks and
-kept weights from one cumulative sum; the DMRG split launches `svd` per
+kept weights in one call; the DMRG split launches `svd` per
 parity block under one `truncation_rank`.
 """
 
@@ -52,14 +52,14 @@ def svd(m: np.ndarray):
 def truncation_ranks(s: np.ndarray, max_rank: int, cutoff: float):
     """`truncation_rank` of every row of ``s``, shape ``(n, r)``, and the
     fraction of each row's squared weight that the rank keeps (1 for a zero
-    row), from one cumulative sum of the squared values; for one row the
-    loop of `truncation_rank` is faster."""
+    row); for one row the loop of `truncation_rank` is faster.  The total
+    is `np.sum`'s, as in `truncation_rank`, so the cutoff compares alike;
+    the kept weight is read off one cumulative sum."""
     n, r = s.shape
     if r == 0:
         return np.zeros(n, dtype=int), np.ones(n)
     sq = s * s
-    cum = sq.cumsum(axis=1)
-    total = cum[:, -1]
+    total = sq.sum(axis=1)
     nonzero = np.maximum((s > s[:, :1] * 1e-14).sum(axis=1), 1)
     keep = np.maximum((sq > cutoff * total[:, None]).sum(axis=1), 1)
     # grow keep to the first j >= keep that ends its multiplet: s[j] is
@@ -70,8 +70,8 @@ def truncation_ranks(s: np.ndarray, max_rank: int, cutoff: float):
     ends |= j >= nonzero[:, None]
     keep = j[np.argmax(ends & (j >= keep[:, None]), axis=1)]
     keep = np.minimum(np.minimum(keep, nonzero), max_rank)
-    kept = np.divide(cum[np.arange(n), keep - 1], total, out=np.ones(n),
-                     where=total > 0)
+    kept = np.divide(sq.cumsum(axis=1)[np.arange(n), keep - 1], total,
+                     out=np.ones(n), where=total > 0)
     return keep, kept
 
 

@@ -112,11 +112,13 @@ class TestSvdSplit:
         assert rel_err2 == pytest.approx(discarded, abs=1e-10)
 
 
-@given(rows=st.lists(st.lists(st.sampled_from([0.0, 1e-15, 1e-6, 0.3, 0.5,
-                                               0.5 - 1e-13, 1.0]),
-                              min_size=6, max_size=6),
-                     min_size=1, max_size=5),
-       max_rank=st.integers(1, 7),
+# rows as wide as a stage's (up to 20 values at max_rank 10), where np.sum
+# adds pairwise rather than in order
+@given(rows=st.integers(6, 20).flatmap(lambda r: st.lists(
+           st.lists(st.sampled_from([0.0, 1e-15, 1e-6, 0.3, 0.5, 0.5 - 1e-13,
+                                     1.0]), min_size=r, max_size=r),
+           min_size=1, max_size=5)),
+       max_rank=st.integers(1, 21),
        cutoff=st.sampled_from([0.0, 1e-12, 1e-3, 0.1, 0.3]))
 @settings(max_examples=200, deadline=None)
 def test_truncation_ranks_match_the_loop_rule(rows, max_rank, cutoff):
@@ -129,4 +131,18 @@ def test_truncation_ranks_match_the_loop_rule(rows, max_rank, cutoff):
     head = [np.sum(row[:k] ** 2) for row, k in zip(s, want)]
     np.testing.assert_allclose(kept, np.where(total > 0, head, 1.0)
                                / np.where(total > 0, total, 1.0), rtol=1e-14)
+
+
+def test_truncation_ranks_match_the_loop_rule_at_cutoff_ties():
+    # a cutoff at s_i^2 / sum(s^2) (and one ulp either side) decides on the
+    # last bits of the total, so both rules must add it alike
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        s = -np.sort(-rng.random((1, 12)), axis=1)
+        total = np.sum(s[0] ** 2)
+        for i in range(1, 12):
+            c = s[0, i] ** 2 / total
+            for cutoff in (np.nextafter(c, 0), c, np.nextafter(c, 1)):
+                keep, _ = truncation_ranks(s, 12, cutoff)
+                assert keep[0] == truncation_rank(s[0], 12, cutoff)
 
