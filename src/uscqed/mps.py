@@ -119,7 +119,9 @@ def wavepacket_mpo(phi: np.ndarray, creation_ops: Sequence[np.ndarray]) -> MPO:
     """Bond-2 MPO for the packet creation operator ``sum_x phi_x adag_x``.
 
     ``creation_ops[x]`` is the creation matrix of site x, which also fixes
-    that site's local dimension.
+    that site's local dimension.  Every site is sliced from one bulk
+    finite-state-machine tensor, as in `model.hamiltonian_mpo`: the first
+    site keeps row 1 (nothing created yet), the last column 0 (done).
     """
     phi = np.asarray(phi, dtype=complex)
     L = len(creation_ops)
@@ -132,21 +134,14 @@ def wavepacket_mpo(phi: np.ndarray, creation_ops: Sequence[np.ndarray]) -> MPO:
     for x, ad in enumerate(creation_ops):
         d = len(ad)
         eye = np.eye(d, dtype=complex)
-        if L == 1:
-            w = (phi[0] * ad).reshape(1, d, d, 1)
-        elif x == 0:
-            w = np.zeros((1, d, d, 2), dtype=complex)
-            w[0, :, :, 0] = phi[x] * ad
-            w[0, :, :, 1] = eye
-        elif x == L - 1:
-            w = np.zeros((2, d, d, 1), dtype=complex)
-            w[0, :, :, 0] = eye
-            w[1, :, :, 0] = phi[x] * ad
-        else:
-            w = np.zeros((2, d, d, 2), dtype=complex)
-            w[0, :, :, 0] = eye
-            w[1, :, :, 0] = phi[x] * ad
-            w[1, :, :, 1] = eye
+        w = np.zeros((2, d, d, 2), dtype=complex)
+        w[0, :, :, 0] = eye
+        w[1, :, :, 0] = phi[x] * ad
+        w[1, :, :, 1] = eye
+        if x == 0:
+            w = w[1:]
+        if x == L - 1:
+            w = w[:, :, :, :1]
         sites.append(w)
     return MPO(sites)
 

@@ -62,13 +62,14 @@ def _load_sidecars(rows, sidecar_dir):
     return loaded, gaps
 
 
-def _heatmap_csv(path, omega, gs, grid):
-    """Blocks of (omega, g, value) lines, one block per g, for pm3d/image."""
+def _heatmap_csv(path, header, xs, ys, grid):
+    """``header``, then blocks of (x, y, value) lines, one block per y, for
+    pm3d/image; ``grid[j, i]`` is the value at ``(xs[i], ys[j])``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# omega g value\n")
-        for j, g in enumerate(gs):
-            for i, om in enumerate(omega):
-                fh.write(f"{om:.10g} {g:.10g} {grid[j, i]:.10g}\n")
+        fh.write(f"# {header}\n")
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                fh.write(f"{x:.10g} {y:.10g} {grid[j, i]:.10g}\n")
             fh.write("\n")
 
 
@@ -126,24 +127,13 @@ def _fig3(rows, out_dir, sidecar_dir):
     times = payload["times"]
     n_x = np.array(payload["n_x"])
     data = os.path.join(out_dir, "fig3_nx.csv")
-    with open(data, "w", encoding="utf-8") as fh:
-        fh.write("# x t n_x\n")
-        for j, t in enumerate(times):
-            for x in range(n_x.shape[1]):
-                fh.write(f"{x} {t:.10g} {n_x[j, x]:.10g}\n")
-            fh.write("\n")
+    _heatmap_csv(data, "x t n_x", range(n_x.shape[1]), times, n_x)
     paths = [data]
     have_nk = "n_k_t" in payload
     if have_nk:
-        k = payload["k"]
-        n_k_t = np.array(payload["n_k_t"])
         data_k = os.path.join(out_dir, "fig3_nk.csv")
-        with open(data_k, "w", encoding="utf-8") as fh:
-            fh.write("# k t n_k\n")
-            for j, t in enumerate(times):
-                for i, kk in enumerate(k):
-                    fh.write(f"{kk:.10g} {t:.10g} {n_k_t[j, i]:.10g}\n")
-                fh.write("\n")
+        _heatmap_csv(data_k, "k t n_k", payload["k"], times,
+                     np.array(payload["n_k_t"]))
         paths.append(data_k)
     else:
         gaps.append("fig3: momentum-resolved panel skipped; rerun scatter "
@@ -204,7 +194,7 @@ def _spectral_heatmap(rows, out_dir, sidecar_dir, value_key, name, title,
         ok = np.isfinite(v[order])
         grid[j] = np.interp(omega, om[order][ok], v[order][ok])
     data = os.path.join(out_dir, f"{name}_data.csv")
-    _heatmap_csv(data, omega, gs, grid)
+    _heatmap_csv(data, "omega g value", omega, gs, grid)
     over_path, over_plot = overlay(by_g, gs, out_dir, gaps)
     script = os.path.join(out_dir, f"{name}.gp")
     _write(script, _png_header(name, title) + f"""\

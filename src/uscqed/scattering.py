@@ -45,6 +45,9 @@ EDGE_WEIGHT_LIMIT = 1e-3
 # FFT lengths of the n_k and t(omega) grids, per power-of-two chain length.
 NK_PAD_FACTOR = 4
 SPECTRUM_PAD_FACTOR = 8
+# Share of the free packet's squared weight that must sit on the tapered
+# transmitted window before its transform is divided by.
+FREE_REACH = 0.5
 # Half-width of the elastic line and of the Raman window, in packet
 # bandwidths v_g / sigma.
 LINE_WIDTH = 3.0
@@ -223,7 +226,7 @@ class ScatteringResult:
     k_grid: np.ndarray
     n_k_initial: np.ndarray    # occupations on the analysis window
     n_k_final: np.ndarray
-    gs_n_k: np.ndarray = None  # static cloud background on the same window
+    gs_n_k: np.ndarray         # static cloud background on the same window
     gs_scatterer_population: float = 0.0
     flags: list = field(default_factory=list)
     edge_time: float = None    # first snapshot time with edge contamination
@@ -418,7 +421,9 @@ def transmission_spectrum(result: ScatteringResult, window: int = 10,
     ``taper`` sites: a hard cut leaks power across the whole grid and
     corrupts the ratio in the weak tails.  Resonance-delayed components
     trail the free packet, so the run must be long enough for them to clear
-    ``j0 + window + taper``.
+    ``j0 + window + taper``.  No k is kept when the free packet holds less
+    than `FREE_REACH` of its squared weight on the tapered transmitted
+    window: the spectrum is then empty, not a ratio of leakage.
     """
     p = result.params
     snap = result.last_clean
@@ -431,6 +436,8 @@ def transmission_spectrum(result: ScatteringResult, window: int = 10,
     f_free = np.fft.fft(phi_free * w_t, n_fft)
     k = 2.0 * math.pi * np.fft.fftfreq(n_fft)
     idx = np.nonzero(np.abs(f_free) >= mask_frac * np.max(np.abs(f_free)))[0]
+    if np.sum(np.abs(phi_free * w_t) ** 2) < FREE_REACH:
+        idx = idx[:0]            # the free transform would be leakage
     idx = idx[np.argsort(k[idx])]
     t_amp = f_run[idx] / f_free[idx]
     r_amp = f_ref[-idx % n_fft] / f_free[idx]
@@ -441,13 +448,6 @@ def transmission_spectrum(result: ScatteringResult, window: int = 10,
 
 # ---------------------------------------------------------------------------
 # inelastic spectrum
-
-def elastic_mask(k: np.ndarray, params: ModelParams, omega_in: float,
-                 delta_omega: float) -> np.ndarray:
-    """True where a mode is within `LINE_WIDTH` bandwidths of the carrier."""
-    return np.abs(dispersion(np.abs(k), params) - omega_in) \
-        <= LINE_WIDTH * delta_omega
-
 
 @dataclass
 class InelasticResult:
@@ -461,9 +461,8 @@ class InelasticResult:
 
 def _cloud_subtracted(result: ScatteringResult, n_k: np.ndarray) -> np.ndarray:
     """Occupations with the static cloud background removed and clipped."""
-    if result.gs_n_k is not None:
-        n_k = n_k - result.gs_n_k
-    return np.clip(n_k, 0.0, None)   # Parseval noise can dip below zero
+    # Parseval noise can dip below zero
+    return np.clip(n_k - result.gs_n_k, 0.0, None)
 
 
 def inelastic_spectrum(result: ScatteringResult,
@@ -486,7 +485,7 @@ def inelastic_spectrum(result: ScatteringResult,
     om_in = result.info.omega
     d_om = result.info.bandwidth
     om_k = dispersion(np.abs(k), p)
-    el = elastic_mask(k, p, om_in, d_om)
+    el = np.abs(om_k - om_in) <= LINE_WIDTH * d_om
     om_out = om_in - gap
     ram = ~el & (np.abs(om_k - om_out) <= LINE_WIDTH * d_om)
     ine = ~el
@@ -516,17 +515,20 @@ def _density_at(k: np.ndarray, n: np.ndarray, k_query: float) -> float:
     return float(np.interp(k_query, k[side], n[side]))
 
 
-def _density_ratios(result: ScatteringResult, gap: float):
-    """Density-ratio bookkeeping per forward bin of the incoming packet.
+def broadband_spectrum(result: ScatteringResult, gap: float):
+    """Return and conversion fractions versus carrier from one broadband run.
 
-    Both occupations are cloud-subtracted.  Returns ``(omega_in, closed,
-    r_back, p_conv)``.  A bin is solid where its incoming density ``dn`` is
-    at least 1% of its peak; on solid bins ``r_back`` is the outgoing
-    density at ``-k`` over ``dn``, and ``p_conv`` the converted weight
+    One density pass over the forward bins of the incoming packet serves
+    both boundaries; both occupations are cloud-subtracted.  A bin is solid
+    where its incoming density ``dn`` is at least 1% of its peak; on solid
+    bins ``r_back`` is the outgoing density at ``-k`` over ``dn`` (a mirror
+    run's elastic return), and ``p_conv`` the converted weight
     ``n_out v_in / (dn v_out)`` at ``omega - gap``, where ``n_out`` counts
-    both signs of ``k_out``.  Both are NaN elsewhere.  ``p_conv`` is also
-    NaN on the solid bins that ``closed`` marks, where ``omega - gap``
-    falls outside the band, and where ``omega - gap`` falls inside the
+    both signs of ``k_out`` and the group velocities turn densities into
+    fluxes.
+    Returns ``(omega_in, r_back, p_conv)``, both NaN on thin bins.
+    ``p_conv`` is 0 on the solid bins where ``omega - gap`` leaves the band,
+    the closed channel, and NaN where ``omega - gap`` falls inside the
     solid support: the outgoing density there also holds elastic weight,
     which this bookkeeping cannot tell from converted weight.
     """
@@ -541,7 +543,7 @@ def _density_ratios(result: ScatteringResult, gap: float):
     solid = dens_in >= 0.01 * np.max(dens_in)
     lo, hi = band_edges(p)
     om_out = omega_in - gap
-    closed = solid & ~((lo < om_out) & (om_out < hi))
+    fits = (lo < om_out) & (om_out < hi)
     support = omega_in[solid]
     elastic = (support.min() <= om_out) & (om_out <= support.max())
     r_back = np.full(k_in.shape, np.nan)
@@ -549,47 +551,12 @@ def _density_ratios(result: ScatteringResult, gap: float):
     for i in np.flatnonzero(solid):
         dn = dens_in[i]
         r_back[i] = _density_at(k, n1, -float(k_in[i])) / dn
-        if closed[i] or elastic[i]:
-            continue
-        k_out = float(momentum_from_frequency(om_out[i], p))
-        n_out = _density_at(k, n1, k_out) + _density_at(k, n1, -k_out)
-        v_in = abs(group_velocity(float(k_in[i]), p))
-        v_out = abs(group_velocity(k_out, p))
-        p_conv[i] = n_out * v_in / (dn * v_out)
-    return omega_in, closed, r_back, p_conv
-
-
-def broadband_inelastic(result: ScatteringResult, gap: float):
-    """Conversion probability versus carrier from one broadband run.
-
-    For each incoming frequency, the converted outgoing weight sits at
-    ``omega - gap``; dividing the outgoing momentum density there by the
-    incoming density at ``omega`` (both flux-corrected by their group
-    velocities, both cloud-subtracted) gives P_ine(omega) across the
-    packet's whole bandwidth.  Returns ``(omega_grid, p_ine)`` with NaN
-    where kinematically closed, where the incoming density is too thin, and
-    where ``omega - gap`` lies inside the packet's own band, whose elastic
-    weight would be counted as converted.
-    """
-    omega_in, _, _, p_ine = _density_ratios(result, gap)
-    return omega_in, p_ine
-
-
-# ---------------------------------------------------------------------------
-# mirror geometry
-
-def mirror_reflection_spectrum(result: ScatteringResult, gap: float):
-    """Elastic and converted return fractions versus carrier, mirror runs.
-
-    A mirror run is a config with ``model.boundary = "mirror"``, whose last
-    site is the wall.  Same density-ratio bookkeeping as
-    ``broadband_inelastic``; the wall sends everything back, so wherever
-    the incoming density is solid the elastic and converted fractions
-    should sum to one up to analysis error.
-    Returns ``(omega_grid, r_elastic, p_inelastic)``: both NaN where the
-    incoming density is too thin, ``p_inelastic`` 0 where kinematically
-    closed and NaN where ``omega - gap`` lies inside the packet's own band.
-    """
-    omega_in, closed, r_el, p_ine = _density_ratios(result, gap)
-    p_ine[closed] = 0.0
-    return omega_in, r_el, p_ine
+        if not fits[i]:
+            p_conv[i] = 0.0
+        elif not elastic[i]:
+            k_out = float(momentum_from_frequency(om_out[i], p))
+            n_out = _density_at(k, n1, k_out) + _density_at(k, n1, -k_out)
+            v_in = abs(group_velocity(float(k_in[i]), p))
+            v_out = abs(group_velocity(k_out, p))
+            p_conv[i] = n_out * v_in / (dn * v_out)
+    return omega_in, r_back, p_conv

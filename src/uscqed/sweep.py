@@ -147,6 +147,9 @@ def bound_data(params: ModelParams):
 
 
 def _interp_at(x0: float, x: np.ndarray, y: np.ndarray) -> float:
+    """``y`` interpolated at ``x0``; NaN on an empty grid."""
+    if x.size == 0:
+        return float("nan")
     order = np.argsort(x)
     return float(np.interp(x0, x[order], y[order]))
 
@@ -209,26 +212,21 @@ def run_point(config: RunConfig, i: int, g: float, omega: float, gap: float,
         omega_in = result.info.omega
         k_in = result.info.momentum
         ine = sc.inelastic_spectrum(result, gap=gap)
+        om_b, r_b, p_b = sc.broadband_spectrum(result, gap)
         flags = list(result.flags)
-        extra = {}
+        extra = {"broadband_omega": list(map(float, om_b))}
         if params.boundary == "mirror":
-            # no transmitted side; report the return fractions instead
-            om_b, r_el, p_b = sc.mirror_reflection_spectrum(result, gap)
-            T = float("nan")
-            R = _interp_at(omega_in, om_b, np.nan_to_num(r_el, nan=0.0))
-            extra = {"broadband_omega": list(map(float, om_b)),
-                     "broadband_r_el": list(map(float, r_el)),
-                     "broadband_p_ine": list(map(float, p_b))}
-            ts = None
+            # no transmitted side; R is the elastic return at the carrier
+            ts, T = None, float("nan")
+            R = _interp_at(omega_in, om_b, np.nan_to_num(r_b, nan=0.0))
+            extra["broadband_r_el"] = list(map(float, r_b))
             balance = R + ine.p_inelastic
         else:
             ts = sc.transmission_spectrum(result)
             T = _interp_at(omega_in, ts.omega, ts.T)
             R = _interp_at(omega_in, ts.omega, ts.R)
-            om_b, p_b = sc.broadband_inelastic(result, gap)
-            extra = {"broadband_omega": list(map(float, om_b)),
-                     "broadband_p_ine": list(map(float, p_b))}
             balance = T + R + ine.p_inelastic
+        extra["broadband_p_ine"] = list(map(float, p_b))
         for name, value in (("T", T), ("R", R)):
             if value > 1.01:
                 flags.append(f"unphysical {name}={value:.4f}")
@@ -328,7 +326,8 @@ def sweep(config: RunConfig, progress=None) -> list:
 class ConvergenceRow:
     D: int
     n_max: int
-    T_max: float               # peak of T(omega) over the packet band
+    T_max: float               # peak of T(omega) over the packet band;
+                               # NaN when the spectrum is empty
     max_dev_prev: float        # vs the previous D at the same n_max; NaN
                                # on the first D of each n_max block
     unphysical: bool           # any T beyond 1.01
@@ -392,17 +391,19 @@ def convergence_study(config: RunConfig, D_list, nmax_list,
             order = np.argsort(ts.omega)
             om, T, R = ts.omega[order], ts.T[order], ts.R[order]
             spectra[(D, n_max)] = (om, T, R)
+            # an empty spectrum (the packet missed the window) has no peak
+            T_max = float(np.max(T)) if T.size else float("nan")
             dev = float("nan")
-            if prev is not None:
+            if prev is not None and T.size and prev[0].size:
                 p_om, p_T = prev
                 both = (om >= p_om.min()) & (om <= p_om.max())
                 dev = float(np.max(np.abs(
                     T[both] - np.interp(om[both], p_om, p_T))))
-            unphysical = bool(np.any(T > 1.01))
+            unphysical = T_max > 1.01
             if unphysical:
-                flags.append(f"unphysical T up to {float(np.max(T)):.4f}")
-            rows.append(ConvergenceRow(D, n_max, float(np.max(T)), dev,
-                                       unphysical, "; ".join(flags),
+                flags.append(f"unphysical T up to {T_max:.4f}")
+            rows.append(ConvergenceRow(D, n_max, T_max, dev, unphysical,
+                                       "; ".join(flags),
                                        time.perf_counter() - t0))
             prev = (om, T)
     return ConvergenceStudy(rows=rows, spectra=spectra, config_hash=chash)

@@ -265,3 +265,32 @@ def test_unconverged_solve_is_an_invalid_run(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path)
     assert cli.main(["ground-state", "--config", path]) == cli.EXIT_FLAGGED
     assert "invalid run: DMRG energy not within" in capsys.readouterr().err
+
+
+def test_converge_writes_a_spectrum_per_setting(tmp_path, capsys):
+    # free chain: one photon over the vacuum has Schmidt rank 2, so both
+    # bond dimensions are exact and the packet leaves the window cleanly
+    path = write_config(tmp_path, model={"L": 48, "g": 0.0, "j0": 16},
+                        packet={"sigma": 2.5, "x0": 6.0},
+                        evolution={"t_final": 44.0, "dt": 0.25,
+                                   "n_snapshots": 4})
+    assert cli.main(["converge", "--config", path, "--quiet",
+                     "--bond-dims", "2,4", "--nmax-list", "1"]) == cli.EXIT_OK
+    chash = config_hash(parse_config(path))
+    out = tmp_path / "out"
+    header = (out / f"convergence_{chash}.csv").read_text(
+        encoding="utf-8").splitlines()[0]
+    assert header == ("D,n_max,T_max,max_dev_prev,unphysical,flags,"
+                      "wall_time,config_hash")
+    spectra = json.loads((out / f"convergence_{chash}.json").read_text(
+        encoding="utf-8"))
+    assert sorted(spectra) == ["D2_n1", "D4_n1"]
+    assert all(sorted(s) == ["R", "T", "omega"] and s["T"]
+               for s in spectra.values())
+    assert "UNPHYSICAL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("which", ["free-packet", "dense-spectrum"])
+def test_oracle_check_passes(which, capsys):
+    assert cli.main(["oracle", "--which", which, "--quiet"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith(f"[ok] {which}: ")

@@ -114,3 +114,45 @@ def test_plot_reports_an_unreadable_sidecar_as_a_gap(tmp_path, capsys):
             if line.startswith("gap: ")]
     assert len(gaps) == 1
     assert gaps[0].startswith("gap: run r1: sidecar bad.json unreadable (")
+
+
+def fig3_table(tmp_path, with_nk):
+    """One run row whose sidecar holds two density snapshots of 3 sites."""
+    payload = {"times": [0.0, 1.5], "n_x": [[0.5, 0.25, 0.0],
+                                            [0.0, 0.25, 0.5]],
+               "k": [-1.0, 1.0]}
+    if with_nk:
+        payload["n_k_t"] = [[0.0, 0.75], [0.125, 0.625]]
+    (tmp_path / "run.json").write_text(json.dumps(payload), encoding="utf-8")
+    return [{"run_id": "r0", "g": 0.5, "omega_in": 1.0, "flags": "",
+             "sidecar": "run.json"}]
+
+
+def test_fig3_writes_both_density_maps_from_an_n_k_series(tmp_path):
+    out = tmp_path / "plots"
+    paths, gaps = emit_plots(fig3_table(tmp_path, True), "fig3",
+                             out_dir=str(out), sidecar_dir=str(tmp_path))
+    assert gaps == []
+    assert {os.path.basename(p) for p in paths} \
+        == {"fig3.gp", "fig3_nx.csv", "fig3_nk.csv"}
+    n_x = (out / "fig3_nx.csv").read_text(encoding="utf-8")
+    assert n_x == ("# x t n_x\n0 0 0.5\n1 0 0.25\n2 0 0\n\n"
+                   "0 1.5 0\n1 1.5 0.25\n2 1.5 0.5\n\n")
+    n_k = (out / "fig3_nk.csv").read_text(encoding="utf-8")
+    assert n_k == ("# k t n_k\n-1 0 0\n1 0 0.75\n\n"
+                   "-1 1.5 0.125\n1 1.5 0.625\n\n")
+    script = (out / "fig3.gp").read_text(encoding="utf-8")
+    assert "set multiplot layout 1,2" in script and "'fig3_nk.csv'" in script
+
+
+def test_fig3_without_an_n_k_series_skips_the_momentum_panel(tmp_path):
+    out = tmp_path / "plots"
+    paths, gaps = emit_plots(fig3_table(tmp_path, False), "fig3",
+                             out_dir=str(out), sidecar_dir=str(tmp_path))
+    assert gaps == ["fig3: momentum-resolved panel skipped; rerun scatter "
+                    "with the n_k series enabled"]
+    assert {os.path.basename(p) for p in paths} \
+        == {"fig3.gp", "fig3_nx.csv", "fig3_gaps.txt"}
+    assert (out / "fig3_nx.csv").read_text(encoding="utf-8").splitlines()[:2] \
+        == ["# x t n_x", "0 0 0.5"]
+    assert "fig3_nk.csv" not in (out / "fig3.gp").read_text(encoding="utf-8")

@@ -291,6 +291,7 @@ def test_run_scattering_rejects_bad_time():
 # inelastic bookkeeping on synthetic occupations
 
 def fake_result(params, spec, k, n0, n1, gs_n_k=None):
+    """A result holding only occupations; no static cloud unless given."""
     kc = float(M.momentum_from_frequency(spec.omega, params))
     v = abs(float(M.group_velocity(kc, params)))
     info = sc.PacketInfo(omega=spec.omega, momentum=kc, velocity=v,
@@ -298,7 +299,8 @@ def fake_result(params, spec, k, n0, n1, gs_n_k=None):
     return sc.ScatteringResult(params=params, spec=spec, info=info,
                                snapshots=[], gs_energy=0.0, gs_n_x=None,
                                k_grid=k, n_k_initial=n0, n_k_final=n1,
-                               gs_n_k=gs_n_k)
+                               gs_n_k=np.zeros_like(k) if gs_n_k is None
+                               else gs_n_k)
 
 
 def synthetic_grid():
@@ -367,23 +369,28 @@ def test_broadband_density_method_recovers_injected_ratio():
     n1 = np.zeros_like(k)
     h = 0.05                        # plateaus so interpolation is exact
     n1[np.abs(np.abs(k) - k_out) < 0.05] = h
-    omega_in, p_ine = sc.broadband_inelastic(fake_result(p, spec, k, n0, n1),
-                                             gap)
+    omega_in, r_back, p_ine = sc.broadband_spectrum(
+        fake_result(p, spec, k, n0, n1), gap)
     j = np.argmin(np.abs(omega_in - 1.0))
     assert p_ine[j] == pytest.approx(2 * h * v_in / v_out, rel=1e-9)
-    assert np.isnan(p_ine[j + 30])  # thin incoming density gives no estimate
+    assert r_back[j] == 0.0         # nothing came back at -k_in
+    # thin incoming density gives no estimate
+    assert np.isnan(p_ine[j + 30]) and np.isnan(r_back[j + 30])
 
 
-def test_broadband_density_method_nan_when_kinematically_closed():
+def test_broadband_conversion_is_zero_when_kinematically_closed():
     p = M.ModelParams(L=64, g=0.7, j0=32, n_max=1)
     spec = sc.WavepacketSpec(omega=0.5, sigma=8.0, x0=16.0)
     k = synthetic_grid()
     i_in = np.argmin(np.abs(k - float(M.momentum_from_frequency(0.5, p))))
     n0 = np.zeros_like(k)
     n0[i_in] = 1.0
-    # converting from 0.5 would land below the band for any positive gap
-    _, p_ine = sc.broadband_inelastic(fake_result(p, spec, k, n0, n0), 0.4)
-    assert np.all(np.isnan(p_ine))
+    # converting from 0.5 would land below the band for any positive gap:
+    # the channel is closed, 0 on the solid bin (one rule for both
+    # boundaries), and there is no estimate on the thin ones
+    _, _, p_ine = sc.broadband_spectrum(fake_result(p, spec, k, n0, n0), 0.4)
+    solid = np.flatnonzero(np.isfinite(p_ine))
+    assert solid.size == 1 and p_ine[solid[0]] == 0.0
 
 
 def test_broadband_conversion_is_nan_where_the_line_meets_the_packet_band():
@@ -401,21 +408,18 @@ def test_broadband_conversion_is_nan_where_the_line_meets_the_packet_band():
                       0.9 * plateau(k) + 0.1 * plateau(-k))
     support = sc.dispersion(k[(k > 0.8) & (k < 2.3)], p)
     for gap in (0.15, 0.3):
-        omega_in, p_ine = sc.broadband_inelastic(res, gap)
-        _, _, p_mirror = sc.mirror_reflection_spectrum(res, gap)
+        omega_in, _, p_ine = sc.broadband_spectrum(res, gap)
         om_out = omega_in - gap
+        closed = (omega_in >= support.min()) & (om_out <= M.band_edges(p)[0])
+        assert closed.any() == (gap == 0.3)   # only the larger gap closes bins
         overlap = (om_out >= support.min()) & (om_out <= support.max())
-        assert overlap.any()
-        assert np.all(np.isnan(p_ine[overlap]))
-        assert np.all(np.isnan(p_mirror[overlap]))
-        finite = np.isfinite(p_ine)
+        assert (overlap & ~closed).any()
+        assert np.all(np.isnan(p_ine[overlap & ~closed]))
+        # every closed bin reads 0: the converted photon has no band to enter
+        assert np.all(p_ine[closed] == 0.0)
+        finite = np.isfinite(p_ine) & ~closed
         assert finite.any()
         assert np.all((p_ine[finite] >= 0) & (p_ine[finite] <= 1))
-        # the mirror bookkeeping zeroes only the kinematically closed bins
-        closed = (omega_in >= support.min()) & (om_out <= M.band_edges(p)[0])
-        assert np.array_equal(np.flatnonzero(p_mirror == 0.0),
-                              np.flatnonzero(closed | (p_ine == 0.0)))
-        assert closed.any() == (gap == 0.3)   # only the larger gap closes bins
 
 
 def test_raman_threshold_is_gap_above_band_bottom():
@@ -468,7 +472,7 @@ def test_run_point_on_a_mirror_config(tmp_path):
     assert "broadband_r_el" in payload
 
 
-def test_mirror_reflection_spectrum_on_synthetic_return():
+def test_broadband_spectrum_on_a_synthetic_mirror_return():
     p = M.ModelParams(L=81, g=0.7, j0=60, n_max=1, boundary="mirror")
     spec = sc.WavepacketSpec(omega=1.0, sigma=8.0, x0=30.0)
     gap = 0.5
@@ -482,7 +486,7 @@ def test_mirror_reflection_spectrum_on_synthetic_return():
     n1 = np.zeros_like(k)
     n1[np.abs(k + k_in) < 0.05] = 0.6       # elastic return
     n1[np.abs(k + k_out) < 0.05] = 0.4      # converted return
-    omega_in, r_el, p_ine = sc.mirror_reflection_spectrum(
+    omega_in, r_el, p_ine = sc.broadband_spectrum(
         fake_result(p, spec, k, n0, n1), gap)
     j = np.argmin(np.abs(omega_in - 1.0))
     assert r_el[j] == pytest.approx(0.6, rel=1e-9)

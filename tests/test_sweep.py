@@ -9,6 +9,7 @@ import pytest
 from uscqed import config as C
 from uscqed import evolution as ev
 from uscqed import model as M
+from uscqed import scattering as sc
 from uscqed import sweep as sw
 from uscqed.errors import ConfigError
 from uscqed.model import ModelParams
@@ -162,19 +163,42 @@ def test_run_failures_are_recorded_per_row(tmp_path, monkeypatch):
     assert "synthetic failure" in {r.omega_in: r for r in again}[0.9].flags
 
 
-def test_an_unphysical_reflection_is_flagged(tmp_path):
-    # the free packet has not reached the transmitted window by t_final, so
-    # the spectra divide by leakage; the row keeps its values and says so
-    cfg = make_config(tmp_path, model={"L": 24, "g": 0.4, "j0": 12},
-                      packet={"x0": 4.0, "sigma": 1.5, "omega": 1.0},
-                      evolution={"t_final": 4.0, "dt": 0.25,
-                                 "n_snapshots": 2})
+# the free packet has not reached the transmitted window by t_final
+SHORT_RUN = {"model": {"L": 24, "g": 0.4, "j0": 12},
+             "packet": {"x0": 4.0, "sigma": 1.5, "omega": 1.0},
+             "evolution": {"t_final": 4.0, "dt": 0.25, "n_snapshots": 2}}
+
+
+def test_a_packet_short_of_the_transmitted_window_gives_nan_t_and_r(tmp_path):
+    # the spectra would divide by the free packet's leakage onto the window;
+    # the row keeps no spectrum and says the run was too short
+    cfg = make_config(tmp_path, **SHORT_RUN)
     e_gs, gs, _ = ev.embedded_ground_state(cfg.model)
     row = sw.run_point(cfg, 0, 0.4, 1.0, gap=0.5, gs=gs, gs_energy=e_gs,
                        strict=True)
-    assert row.R > 1e15
+    assert math.isnan(row.T) and math.isnan(row.R)
+    assert row.flags == ("transmitted packet near x=7 at the analysis "
+                         "snapshot; extend t_final past the window")
+    payload = json.loads((tmp_path / row.sidecar).read_text(encoding="utf-8"))
+    assert payload["omega"] == payload["T"] == payload["R"] == []
+
+
+def test_an_unphysical_reflection_is_flagged(tmp_path, monkeypatch):
+    # the row keeps a spectrum's values past 1 and says so
+    def stubbed(result):
+        return sc.TransmissionSpectrum(omega=np.array([0.9, 1.1]),
+                                       T=np.array([0.5, 0.5]),
+                                       R=np.array([1.2, 1.2]),
+                                       k=np.array([1.0, 1.2]))
+
+    monkeypatch.setattr(sc, "transmission_spectrum", stubbed)
+    cfg = make_config(tmp_path, **SHORT_RUN)
+    e_gs, gs, _ = ev.embedded_ground_state(cfg.model)
+    row = sw.run_point(cfg, 0, 0.4, 1.0, gap=0.5, gs=gs, gs_energy=e_gs,
+                       strict=True)
+    assert (row.T, row.R) == (0.5, 1.2)
     flags = row.flags.split("; ")
-    assert f"unphysical R={row.R:.4f}" in flags
+    assert "unphysical R=1.2000" in flags
     assert not any(f.startswith("unphysical T=") for f in flags)
 
 
@@ -256,6 +280,16 @@ def test_convergence_study_rejects_empty_lists(tmp_path):
         sw.convergence_study(cfg, [], [2])
     with pytest.raises(ConfigError):
         sw.convergence_study(cfg, [4], [])
+
+
+def test_convergence_study_reports_no_peak_for_an_empty_spectrum(tmp_path):
+    cfg = make_config(tmp_path, **SHORT_RUN)
+    study = sw.convergence_study(cfg, [2, 4], [1])
+    assert [len(study.spectra[(d, 1)][0]) for d in (2, 4)] == [0, 0]
+    for r in study.rows:
+        assert math.isnan(r.T_max) and math.isnan(r.max_dev_prev)
+        assert not r.unphysical
+        assert r.flags.startswith("transmitted packet near x=")
 
 
 def test_convergence_study_on_free_chain_is_rank_independent(tmp_path,
